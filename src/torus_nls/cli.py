@@ -55,13 +55,6 @@ def _metric(cfg: RunConfig) -> TorusMetric:
     return TorusMetric(cfg.theta, cfg.laplace_scale)
 
 
-def _set_threads(args):
-    n = getattr(args, "threads", None)
-    if n:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(n)
-
-
 def cmd_solve(args) -> int:
     cfg = _load_cfg(args)
     seed = _resolve_seed(args, cfg)
@@ -190,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="NLS spectral toolkit and estimate harness")
     parser.add_argument("--config", help="flat key = value config file")
     parser.add_argument("--seed", type=int, help="RNG seed (overrides env and config)")
-    parser.add_argument("--threads", type=int, help="cap worker threads")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="Picard-solve and persist artifacts")
@@ -242,7 +234,6 @@ def cli_main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0,) else EXIT_OK
-    _set_threads(args)
     try:
         return args.func(args)
     except (ConfigError, NotFound) as exc:

@@ -32,12 +32,14 @@ class InvalidLebesgueExponent(TorusNlsError):
 class NoConvergence(TorusNlsError):
     """Picard iteration failed to contract within the iteration budget."""
 
-    def __init__(self, max_iter, last_ratio):
+    def __init__(self, max_iter, last_ratio, iterations=None):
+        iterations = max_iter if iterations is None else iterations
         super().__init__(
-            f"no contraction after {max_iter} iterations "
+            f"no contraction after {iterations} of {max_iter} iterations "
             f"(last ratio {last_ratio:.3g}); try a smaller T or smaller data"
         )
         self.max_iter = max_iter
+        self.iterations = iterations
         self.last_ratio = last_ratio
 
 

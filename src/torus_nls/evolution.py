@@ -15,7 +15,7 @@ import numpy as np
 
 from .lattice import SpectralField, TorusMetric, q_grid
 from .nonlinearity import PowerNonlinearity, apply_F
-from .norms import SpaceTimePath, TimeGrid
+from .norms import SpaceTimePath, TimeGrid, flow_phases
 
 
 @dataclass(frozen=True)
@@ -45,9 +45,7 @@ def propagate(field_: SpectralField, t: float) -> SpectralField:
 
 def free_flow_path(u0: SpectralField, grid: TimeGrid) -> SpaceTimePath:
     """The linear evolution e^{it Delta}u0 sampled on the time grid."""
-    q = q_grid(u0.metric, u0.bandlimit)
-    t = grid.times
-    phases = np.exp(-1j * u0.metric.laplace_scale * t[:, None, None, None] * q[None])
+    phases = flow_phases(u0.metric, grid, q_grid(u0.metric, u0.bandlimit))
     return SpaceTimePath(grid, u0.metric, u0.bandlimit, phases * u0.coeffs[None])
 
 

@@ -7,9 +7,7 @@ from .estimates import (GUARD_BANDLIMIT, GUARD_TIME, EstimateSpec,
 from .exponents import HoelderExponentSet, epsilon_max, hoelder_exponents
 from .presets import (contraction_ratio, get_evaluator, get_preset,
                       preset_names, preset_registry)
-from .samplers import SamplerSpec, random_field, sample_path
-
-from .samplers import support_mask
+from .samplers import SamplerSpec, random_field, sample_path, support_mask
 
 __all__ = [
     "GUARD_BANDLIMIT", "GUARD_TIME", "support_mask",

@@ -16,7 +16,7 @@ import numpy as np
 from ..errors import SamplerDegenerate
 from ..lattice import SpectralField, TorusMetric, euclidean_norm_grid, q_grid
 from ..littlewood_paley import cube_mask
-from ..norms import SpaceTimePath, TimeGrid
+from ..norms import SpaceTimePath, TimeGrid, flow_phases
 
 KINDS = ("gaussian_shell", "free_flow", "step_atom", "solver_output")
 SUPPORTS = ("shell", "ball", "cube")
@@ -54,7 +54,7 @@ def support_mask(support: str, N: int, bandlimit: int) -> np.ndarray:
         return r <= N
     if support == "cube":
         # side-N cube anchored at -N//2: fits in the lattice once M >= N/2
-        return cube_mask(None, (-(N // 2),) * 3, N, bandlimit)
+        return cube_mask((-(N // 2),) * 3, N, bandlimit)
     raise ValueError(f"unknown support {support!r}")
 
 
@@ -79,11 +79,6 @@ def random_field(
     return SpectralField(metric, bandlimit, spec.amplitude / norm * c)
 
 
-def _flow_phases(metric: TorusMetric, bandlimit: int, grid: TimeGrid) -> np.ndarray:
-    q = q_grid(metric, bandlimit)
-    return np.exp(-1j * metric.laplace_scale * grid.times[:, None, None, None] * q[None])
-
-
 def sample_path(
     spec: SamplerSpec,
     metric: TorusMetric,
@@ -100,9 +95,8 @@ def sample_path(
 
     if spec.kind == "free_flow":
         f = random_field(spec, metric, bandlimit, N, rng)
-        return SpaceTimePath(
-            grid, metric, bandlimit, _flow_phases(metric, bandlimit, grid) * f.coeffs[None]
-        )
+        phases = flow_phases(metric, grid, q_grid(metric, bandlimit))
+        return SpaceTimePath(grid, metric, bandlimit, phases * f.coeffs[None])
 
     if spec.kind == "step_atom":
         # piecewise free flow: constant twisted coefficients per time block
@@ -113,7 +107,7 @@ def sample_path(
         blocks = np.stack(
             [random_field(spec, metric, bandlimit, N, rng).coeffs for _ in range(n_blocks)]
         )
-        coeffs = _flow_phases(metric, bandlimit, grid) * blocks[block_of]
+        coeffs = flow_phases(metric, grid, q_grid(metric, bandlimit)) * blocks[block_of]
         return SpaceTimePath(grid, metric, bandlimit, coeffs)
 
     if spec.kind == "solver_output":

@@ -130,7 +130,7 @@ class CubeDecomposition:
         return tuple(int(np.floor(x / self.side)) * self.side for x in xi)
 
 
-def cube_mask(decomp_or_field, anchor, side: int, bandlimit: int) -> np.ndarray:
+def cube_mask(anchor, side: int, bandlimit: int) -> np.ndarray:
     """Boolean mask of the lattice cube [anchor, anchor + side) on the coefficient grid."""
     M = bandlimit
     r = np.arange(-M, M + 1)
@@ -145,7 +145,7 @@ def cube_mask(decomp_or_field, anchor, side: int, bandlimit: int) -> np.ndarray:
 
 def project_cube(field: SpectralField, anchor, side: int) -> SpectralField:
     """Sharp restriction of coefficients to the cube [anchor, anchor + side)."""
-    mask = cube_mask(None, anchor, side, field.bandlimit)
+    mask = cube_mask(anchor, side, field.bandlimit)
     return field.with_coeffs(np.where(mask, field.coeffs, 0.0))
 
 

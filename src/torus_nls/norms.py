@@ -7,6 +7,23 @@ the free flow and takes the V^2 norm of the twisted mode path; with the
 unitary convention this makes free flows have Y^s norm equal to the H^s
 norm of the data, exactly.
 
+y_norm runs the dynamic program only on the rows and columns that can
+change the result, chosen from the input:
+
+- a static path (every time row equal to row 0) twists to f_xi e^{ictQ(xi)},
+  whose V^2 norm is |f_xi| kappa(Q(xi)); kappa, the V^2 norm of the unit
+  phase path, is computed on the distinct values of Q only;
+- any other path is twisted, and a row is dropped when every twisted value
+  lies within 64 eps of the last kept row's, relative to that row.  Merging
+  equal consecutive values leaves V^2 unchanged, and replacing rows by a
+  value within delta moves V^2 by at most 2 delta sqrt(n+1), so step atoms
+  run on their n_blocks rows and free flows on one.  A path with no such
+  rows runs the full program unchanged.
+
+flow_phases is the only builder of the free-flow phase e^{-ictQ} on a time
+grid, so a step atom or free flow built with it twists back to rows that
+agree to a few ulps, which the row merge above relies on.
+
 U^2 and X^s have no tractable exact computation (atomic infimum, duality
 supremum); they are replaced by one-sided computable surrogates
 (u2_upper_bound, xnorm_lower_bound) so inequality checks remain valid
@@ -162,19 +179,61 @@ def u2_upper_bound(mode) -> float:
     return float(np.sqrt(np.sum(np.abs(phi) ** 2)))
 
 
+def flow_phases(metric: TorusMetric, grid: TimeGrid, q: np.ndarray) -> np.ndarray:
+    """Free-flow phases e^{-i c t_k Q} for every time node and every entry of
+    q (an array of Q values); shape (n_t,) + q.shape.
+
+    The exponential is taken once per distinct value of q and gathered, which
+    gives the same bits as taking it entry by entry.
+    """
+    q_values, q_index = np.unique(q, return_inverse=True)
+    phases = np.exp(-1j * metric.laplace_scale * grid.times[:, None] * q_values)
+    return phases[:, q_index.ravel()].reshape((grid.n,) + np.shape(q))
+
+
 def _twisted_coeffs(path: SpaceTimePath) -> np.ndarray:
     """e^{+i c t Q(xi)} u_hat(t, xi): free flow becomes a constant path."""
-    q = q_grid(path.metric, path.bandlimit)
-    t = path.grid.times
-    phases = np.exp(1j * path.metric.laplace_scale * t[:, None] * q.ravel()[None, :])
-    flat = path.coeffs.reshape(path.grid.n, -1)
-    return phases * flat
+    q = q_grid(path.metric, path.bandlimit).ravel()
+    tw = np.conj(flow_phases(path.metric, path.grid, q))
+    tw *= path.coeffs.reshape(path.grid.n, -1)
+    return tw
+
+
+# rows of a twisted path closer than this (relative) to the last kept row are
+# merged into it: a few ulps is what |e^{-ictQ}|^2 differs from 1 by
+_MERGE_RTOL = 64 * np.finfo(np.float64).eps
+
+
+def _distinct_rows(values: np.ndarray) -> list[int]:
+    """Indices of the rows of a (n_t, m) array that differ, beyond
+    _MERGE_RTOL, from the last kept row; one row is compared at a time."""
+    keep = [0]
+    ref, tol = values[0], _MERGE_RTOL * np.abs(values[0])
+    for k in range(1, values.shape[0]):
+        if not np.all(np.abs(values[k] - ref) <= tol):
+            keep.append(k)
+            ref, tol = values[k], _MERGE_RTOL * np.abs(values[k])
+    return keep
 
 
 def y_norm(path: SpaceTimePath, s: float, euclidean: bool = False) -> float:
-    """Y^s norm: (sum_xi <xi>^{2s} V^2(twisted mode path)^2)^{1/2}."""
-    tw = _twisted_coeffs(path)
-    v2 = _v2_batch(tw)
+    """Y^s norm: (sum_xi <xi>^{2s} V^2(twisted mode path)^2)^{1/2}.
+
+    A static path takes V^2 = |f_xi| kappa(Q(xi)), with kappa the V^2 norm
+    of the unit phase path on the distinct values of Q.  Any other path is
+    twisted and runs the dynamic program on the rows that differ from the
+    last kept one by more than 64 eps relatively; a merged row within delta
+    of its neighbour moves V^2 by at most 2 delta sqrt(n+1), and a path with
+    no merged row gives exactly the full program's value.
+    """
+    flat = path.coeffs.reshape(path.grid.n, -1)
+    if all(np.array_equal(row, flat[0]) for row in flat[1:]):
+        q_values, q_index = np.unique(q_grid(path.metric, path.bandlimit), return_inverse=True)
+        kappa = _v2_batch(flow_phases(path.metric, path.grid, q_values))
+        v2 = np.abs(flat[0]) * kappa[q_index.ravel()]
+    else:
+        tw = _twisted_coeffs(path)
+        v2 = _v2_batch(tw[_distinct_rows(tw)])
     w = bracket_sq(path.metric, path.bandlimit, euclidean=euclidean).ravel() ** s
     return float(np.sqrt(np.sum(w * v2**2)))
 
@@ -190,9 +249,7 @@ def _random_candidate(path: SpaceTimePath, rng: np.random.Generator, kind: str) 
     """A random dual candidate: free flow or twisted step path on f's grid."""
     n_t = path.grid.n
     nn = 2 * path.bandlimit + 1
-    q = q_grid(path.metric, path.bandlimit)
-    t = path.grid.times
-    flow = np.exp(-1j * path.metric.laplace_scale * t[:, None, None, None] * q[None])
+    flow = flow_phases(path.metric, path.grid, q_grid(path.metric, path.bandlimit))
 
     def rand_field():
         return (rng.standard_normal((nn, nn, nn)) + 1j * rng.standard_normal((nn, nn, nn)))

@@ -72,7 +72,7 @@ def picard_solve(
         if not np.isfinite(d) or d > 1e10:
             # hard divergence; bail before the iterates overflow to Inf
             last = distances[-1] / distances[-2] if len(distances) > 1 else np.inf
-            raise NoConvergence(max_iter, last)
+            raise NoConvergence(max_iter, last, iterations=len(distances))
         if d < tol:
             ratios = tuple(
                 distances[i + 1] / distances[i]
@@ -98,7 +98,7 @@ def splitstep_solve(
 ) -> SpaceTimePath:
     """Strang splitting for i u_t + Delta u = sign |u|^p u.
 
-    Half-step of the nonlinear phase u -> e^{i*sign*(dt/2)|u|^p} u on the
+    Half-step of the nonlinear phase u -> e^{-i*sign*(dt/2)|u|^p} u on the
     oversampled grid, full linear propagate, half nonlinear.  Returns the
     path sampled at t_k = k*dt, k = 0..steps-1 (frame 0 is the datum).
     nl=None drops the nonlinear phase entirely (pure free flow).
@@ -115,7 +115,7 @@ def splitstep_solve(
 
     def half_phase(f: SpectralField) -> SpectralField:
         g = to_grid(f, oversample)
-        phased = np.exp(1j * nl.sign * (dt / 2.0) * np.abs(g.samples) ** nl.p) * g.samples
+        phased = np.exp(-1j * nl.sign * (dt / 2.0) * np.abs(g.samples) ** nl.p) * g.samples
         return to_spectral(GridField(f.metric, phased), f.bandlimit)
 
     frames = [u0]
@@ -132,27 +132,27 @@ def mass(field_: SpectralField) -> float:
 
 
 def energy(field_: SpectralField, nl: PowerNonlinearity, oversample: int = 4) -> float:
-    """(1/2)||grad u||_{L^2}^2 - sign/(p+2) ||u||_{L^{p+2}}^{p+2}.
+    """(1/2)||grad u||_{L^2}^2 + sign/(p+2) ||u||_{L^{p+2}}^{p+2}.
 
-    Conserved by the flow with the sign convention of splitstep_solve; the
+    Conserved by the flow that splitstep_solve and picard_solve solve; the
     potential term uses the oversampled grid (L^{p+2} is non-polynomial for
     fractional p).
     """
     kinetic = 0.5 * sum(np.sum(np.abs(g.coeffs) ** 2) for g in gradient_fields(field_))
     q = nl.p + 2.0
     potential = to_grid(field_, oversample).lp_norm(q) ** q
-    return float(kinetic - nl.sign / q * potential)
+    return float(kinetic + nl.sign / q * potential)
 
 
 def plane_wave_exact(
     u0: SpectralField, xi, nl: PowerNonlinearity, t: float
 ) -> SpectralField:
-    """Exact solution for single-mode data c*e_xi: u(t) = e^{i(sign|c|^p - cQ)t} c e_xi."""
+    """Exact solution for single-mode data c*e_xi: u(t) = e^{-i(sign|c|^p + cQ)t} c e_xi."""
     from .lattice import q_form
 
     c = u0.coefficient(xi)
     phase = np.exp(
-        1j * (nl.sign * abs(c) ** nl.p - u0.metric.laplace_scale * q_form(u0.metric, xi)) * t
+        -1j * (nl.sign * abs(c) ** nl.p + u0.metric.laplace_scale * q_form(u0.metric, xi)) * t
     )
     return SpectralField.delta(u0.metric, u0.bandlimit, xi, c * phase)
 

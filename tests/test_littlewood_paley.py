@@ -100,7 +100,7 @@ def test_cube_decomposition_partitions_lattice():
         # masks partition the coefficient cube
         total = np.zeros((2 * M + 1,) * 3, dtype=int)
         for a in decomp.anchors:
-            total += cube_mask(decomp, a, side, M).astype(int)
+            total += cube_mask(a, side, M).astype(int)
         assert np.all(total == 1)
 
 

@@ -9,7 +9,9 @@ from torus_nls.errors import GridMismatch
 from torus_nls.evolution import free_flow_path
 from torus_nls.lattice import SpectralField, TorusMetric, bracket_sq
 from torus_nls.littlewood_paley import dyadic_ladder, project_dyadic
-from torus_nls.norms import (ModePath, SpaceTimePath, TimeGrid, duality_pairing,
+from torus_nls.harness.samplers import SamplerSpec, sample_path
+from torus_nls.norms import (ModePath, SpaceTimePath, TimeGrid, _distinct_rows,
+                             _twisted_coeffs, _v2_batch, duality_pairing,
                              sobolev_norm, spacetime_lp, u2_upper_bound,
                              v2_norm, xnorm_lower_bound, y_norm)
 
@@ -103,6 +105,53 @@ def test_y_norm_free_flow_equals_sobolev():
     path = free_flow_path(u0, TimeGrid(1.0, 16))
     for s in (-0.5, 0.0, 0.5, 1.5):
         assert y_norm(path, s) == pytest.approx(sobolev_norm(u0, s), rel=1e-12)
+
+
+def full_dp_y_norm(path, s):
+    """Y^s with the V^2 dynamic program run on every twisted row."""
+    v2 = _v2_batch(_twisted_coeffs(path))
+    w = bracket_sq(path.metric, path.bandlimit).ravel() ** s
+    return float(np.sqrt(np.sum(w * v2**2)))
+
+
+@pytest.mark.parametrize("theta", [(1.0, 1.0, 1.0), (1.0, np.sqrt(2.0), np.sqrt(3.0))])
+def test_y_norm_static_path_matches_full_dp(theta):
+    metric = TorusMetric(theta)
+    f = random_field(3, seed=20)
+    coeffs = np.broadcast_to(f.coeffs, (32,) + f.coeffs.shape)
+    path = SpaceTimePath(TimeGrid(0.5, 32), metric, 3, coeffs)
+    for s in (-0.5, 0.0, 1.25):
+        assert y_norm(path, s) == pytest.approx(full_dp_y_norm(path, s), rel=1e-12)
+
+
+def test_y_norm_step_atom_runs_on_its_blocks():
+    grid = TimeGrid(0.5, 32)
+    spec = SamplerSpec("step_atom", support="ball")
+    path = sample_path(spec, METRIC, 3, 3, grid, np.random.default_rng(21))
+    keep = _distinct_rows(_twisted_coeffs(path))
+    assert len(keep) == 4  # the sampler's default block count
+    for s in (-0.5, 0.5):
+        assert y_norm(path, s) == pytest.approx(full_dp_y_norm(path, s), rel=1e-12)
+
+
+def test_y_norm_free_flow_runs_on_one_row():
+    path = free_flow_path(random_field(3, seed=22), TimeGrid(0.5, 32))
+    assert _distinct_rows(_twisted_coeffs(path)) == [0]
+    assert y_norm(path, 0.5) == pytest.approx(full_dp_y_norm(path, 0.5), rel=1e-12)
+
+
+def test_y_norm_varying_paths_run_the_full_dp():
+    # no two rows agree to rounding, so every row is kept and the result is
+    # the full program's, bit for bit; the atom's noise is relative, so its
+    # modes outside the support stay 0 and only the tolerance keeps the rows
+    path = random_path(2, 12, seed=23)
+    assert y_norm(path, 0.5) == full_dp_y_norm(path, 0.5)
+    atom = sample_path(SamplerSpec("step_atom", support="ball"), METRIC, 3, 3,
+                       TimeGrid(0.5, 32), np.random.default_rng(24))
+    noise = 1e-9 * random_path(3, 32, T=0.5, seed=25).coeffs
+    noisy = SpaceTimePath(atom.grid, METRIC, 3, atom.coeffs * (1.0 + noise))
+    assert len(_distinct_rows(_twisted_coeffs(noisy))) == 32
+    assert y_norm(noisy, -0.5) == full_dp_y_norm(noisy, -0.5)
 
 
 def test_y_norm_dyadic_identity():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from torus_nls.errors import NoConvergence
-from torus_nls.evolution import free_flow_path, propagate
+from torus_nls.evolution import duhamel_operator, free_flow_path, propagate
 from torus_nls.lattice import SpectralField, TorusMetric
 from torus_nls.nonlinearity import PowerNonlinearity
 from torus_nls.norms import TimeGrid, sobolev_norm
@@ -50,6 +50,26 @@ def test_large_data_no_convergence():
     with pytest.raises(NoConvergence) as exc:
         picard_solve(u0, nl, TimeGrid(1.0, 8), max_iter=8)
     assert exc.value.max_iter == 8
+
+
+def test_no_convergence_names_the_iterations_run():
+    import torus_nls.solver as solver
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return duhamel_operator(*args, **kwargs)
+
+    nl = PowerNonlinearity(2.0)
+    u0 = 50.0 * random_field(1, seed=2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "duhamel_operator", counted)
+        with pytest.raises(NoConvergence) as exc:
+            picard_solve(u0, nl, TimeGrid(1.0, 8), max_iter=8)
+    # the iteration bails out on divergence well before its budget
+    assert exc.value.iterations == len(calls) < 8
+    assert f"after {len(calls)} of 8 iterations" in str(exc.value)
 
 
 def test_focusing_defocusing_agree_for_small_data():
@@ -119,6 +139,22 @@ def test_picard_matches_splitstep():
     k = n - 1
     diff = np.max(np.abs(path.frame(k).coeffs - ss.frame(k).coeffs))
     assert diff < 1e-5
+
+
+def test_picard_and_splitstep_solve_the_same_equation():
+    # a plane wave is exact under splitting and keeps |u| constant, so the
+    # two solvers agree up to Picard's quadrature error only if they share
+    # the sign of the nonlinearity
+    xi = (1, 0, -1)
+    u0 = SpectralField.delta(METRIC, 1, xi, 0.8 + 0.3j)
+    nl = PowerNonlinearity(2.0)
+    T, n = 0.2, 64
+    path, diag = picard_solve(u0, nl, TimeGrid(T, n), tol=1e-12)
+    ss = splitstep_solve(u0, nl, T / n, n)
+    exact = plane_wave_exact(u0, xi, nl, T * (n - 1) / n)
+    assert diag.converged
+    assert np.max(np.abs(ss.frame(n - 1).coeffs - exact.coeffs)) < 1e-12
+    assert np.max(np.abs(path.frame(n - 1).coeffs - exact.coeffs)) < 1e-6
 
 
 def test_validation():
