@@ -32,15 +32,19 @@ class InvalidLebesgueExponent(TorusNlsError):
 class NoConvergence(TorusNlsError):
     """Picard iteration failed to contract within the iteration budget."""
 
-    def __init__(self, max_iter, last_ratio, iterations=None):
+    def __init__(self, max_iter, last_ratio, iterations=None, T=None, halvings=None):
         iterations = max_iter if iterations is None else iterations
+        # find_T names the last T it tried and how often it halved T to get there
+        where = "" if T is None else f" at T={T:g} after {halvings} halvings of T"
         super().__init__(
             f"no contraction after {iterations} of {max_iter} iterations "
-            f"(last ratio {last_ratio:.3g}); try a smaller T or smaller data"
+            f"(last ratio {last_ratio:.3g}){where}; try a smaller T or smaller data"
         )
         self.max_iter = max_iter
         self.iterations = iterations
         self.last_ratio = last_ratio
+        self.T = T
+        self.halvings = halvings
 
 
 class SamplerDegenerate(TorusNlsError):

@@ -9,32 +9,11 @@ partial integrals costs one cumulative pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .lattice import SpectralField, TorusMetric, q_grid
 from .nonlinearity import PowerNonlinearity, apply_F
 from .norms import SpaceTimePath, TimeGrid, flow_phases
-
-
-@dataclass(frozen=True)
-class PropagatorPlan:
-    """Cached one-step phases e^{-i*laplace_scale*Q(xi)*dt} for a fixed dt."""
-
-    metric: TorusMetric
-    bandlimit: int
-    dt: float
-    phases: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        q = q_grid(self.metric, self.bandlimit)
-        ph = np.exp(-1j * self.metric.laplace_scale * self.dt * q)
-        ph.flags.writeable = False
-        object.__setattr__(self, "phases", ph)
-
-    def step(self, field_: SpectralField) -> SpectralField:
-        return field_.with_coeffs(field_.coeffs * self.phases)
 
 
 def propagate(field_: SpectralField, t: float) -> SpectralField:
@@ -55,14 +34,17 @@ def _duhamel_partials(forcing: SpaceTimePath) -> np.ndarray:
     Written as e^{-i c t_k Q} * cumtrapz(e^{+i c s Q} F_hat(s)); one
     cumulative trapezoid pass over the grid serves every k at once.
     """
-    c = forcing.metric.laplace_scale
-    q = q_grid(forcing.metric, forcing.bandlimit)[None]
-    t = forcing.grid.times[:, None, None, None]
-    integrand = np.exp(1j * c * t * q) * forcing.coeffs
-    dt = forcing.grid.dt
-    cum = np.zeros_like(integrand)
-    cum[1:] = np.cumsum(0.5 * dt * (integrand[1:] + integrand[:-1]), axis=0)
-    return np.exp(-1j * c * t * q) * cum
+    phases = flow_phases(forcing.metric, forcing.grid, q_grid(forcing.metric, forcing.bandlimit))
+    integrand = np.conj(phases)
+    integrand *= forcing.coeffs
+    steps = integrand[1:] + integrand[:-1]
+    steps *= 0.5 * forcing.grid.dt
+    # the running sums overwrite the integrand: at most three path-sized
+    # arrays are live at once, which bounds the solver's peak memory
+    cum = integrand
+    cum[0] = 0.0
+    np.cumsum(steps, axis=0, out=cum[1:])
+    return np.multiply(phases, cum, out=cum)
 
 
 def duhamel_integral(forcing: SpaceTimePath, t_index: int) -> SpectralField:

@@ -8,6 +8,21 @@ irrationality lives entirely in the dispersion form
 
 and the Laplacian acts on the exponential e_xi as -laplace_scale * Q(xi).
 The Fourier convention is unitary: sum_xi |u_hat(xi)|^2 = int |u|^2 dx.
+
+to_grid and to_spectral are pruned 3-D FFTs (Markel, "FFT pruning", 1971)
+that give the same bits as np.fft.ifftn / np.fft.fftn.  Those run one 1-D
+FFT per line of the last axis, then of the middle axis, then of the first;
+each line is transformed on its own, a line of zeros goes to zeros, and an
+output that is discarded is never read.  So, with the M+1 and M occupied
+positions {0..M} and {n-M..n-1} of an axis of length n = oversample(2M+1):
+
+- to_grid transforms, in place in its one n^3 array, the (2M+1)^2 lines of
+  the last axis that hold coefficients, then the (2M+1)n lines of the middle
+  axis that are not still zero, then all n^2 lines of the first axis.
+- to_spectral, to bandlimit b, transforms all n^2 lines of the last axis
+  and keeps the 2b+1 wanted outputs of each, then the n(2b+1) lines of the
+  middle axis that remain, keeping 2b+1 again, then the (2b+1)^2 lines of
+  the first axis.
 """
 
 from __future__ import annotations
@@ -225,10 +240,21 @@ def to_grid(field_: SpectralField, oversample: int = 1) -> GridField:
         raise GridTooSmall(f"oversample must be >= 1, got {oversample}")
     M = field_.bandlimit
     n = oversample * (2 * M + 1)
-    spec = np.zeros((n, n, n), dtype=np.complex128)
+    samples = np.zeros((n, n, n), dtype=np.complex128)
     idx = np.arange(-M, M + 1) % n
-    spec[np.ix_(idx, idx, idx)] = field_.coeffs
-    samples = np.fft.ifftn(spec) * n**3
+    samples[np.ix_(idx, idx, idx)] = field_.coeffs
+    occ = (slice(0, M + 1), slice(n - M, n))  # positions of xi = 0..M, -M..-1
+    # ifftn's passes in its order (last axis first), each in place and only
+    # on the lines that hold non-zero data; the other lines stay zero
+    for a in occ:
+        for b in occ:
+            lines = samples[a, b]
+            np.fft.ifft(lines, axis=2, out=lines)
+    for a in occ:
+        lines = samples[a]
+        np.fft.ifft(lines, axis=1, out=lines)
+    np.fft.ifft(samples, axis=0, out=samples)
+    samples *= n**3
     return GridField(field_.metric, samples)
 
 
@@ -237,7 +263,11 @@ def to_spectral(grid: GridField, bandlimit: int, metric: TorusMetric | None = No
     n = grid.n
     if n < 2 * bandlimit + 1:
         raise GridTooSmall(f"grid n={n} cannot resolve bandlimit {bandlimit}")
-    spec = np.fft.fftn(grid.samples) / n**3
     idx = np.arange(-bandlimit, bandlimit + 1) % n
-    coeffs = spec[np.ix_(idx, idx, idx)]
-    return SpectralField(metric or grid.metric, bandlimit, coeffs)
+    # fftn's passes in its order (last axis first); after each pass only the
+    # 2*bandlimit+1 kept outputs of every line go on to the next
+    spec = np.fft.fft(grid.samples, axis=2).take(idx, axis=2)
+    spec = np.fft.fft(spec, axis=1).take(idx, axis=1)
+    spec = np.fft.fft(spec, axis=0).take(idx, axis=0)
+    spec /= n**3
+    return SpectralField(metric or grid.metric, bandlimit, spec)

@@ -306,15 +306,14 @@ def lp_difference_linearize(
         low = u.with_coeffs(np.zeros_like(u.coeffs))  # convention P_{<=1/2} = 0
     shell = project_dyadic(u, N, profile)
     g_low = to_grid(low, oversample).samples.ravel()
-    g_shell = to_grid(shell, oversample).samples.ravel()
+    shell_samples = to_grid(shell, oversample).samples
+    g_shell = shell_samples.ravel()
 
     i_z = _integrate_unit_interval(lambda z: wirtinger(z, nl, (1, 0)), g_low, g_shell, quad_nodes)
     i_zbar = _integrate_unit_interval(lambda z: wirtinger(z, nl, (0, 1)), g_low, g_shell, quad_nodes)
 
-    n = to_grid(shell, oversample).n
-    shape = (n, n, n)
-    t1 = GridField(u.metric, (g_shell * i_z).reshape(shape))
-    t2 = GridField(u.metric, (np.conj(g_shell) * i_zbar).reshape(shape))
+    t1 = GridField(u.metric, (g_shell * i_z).reshape(shell_samples.shape))
+    t2 = GridField(u.metric, (np.conj(g_shell) * i_zbar).reshape(shell_samples.shape))
     return to_spectral(t1, u.bandlimit), to_spectral(t2, u.bandlimit)
 
 

@@ -167,13 +167,21 @@ def find_T(
     max_iter: int = 20,
     max_halvings: int = 20,
 ) -> tuple[float, SpaceTimePath, PicardDiagnostics]:
-    """Halve T until Picard converges; empirical local-existence threshold."""
-    T = T0
-    for _ in range(max_halvings):
+    """Halve T until Picard converges; empirical local-existence threshold.
+
+    Makes at most max_halvings solves, at T0, T0/2, ...; when all fail it
+    raises the last solve's NoConvergence, naming that T.
+    """
+    if max_halvings < 1:
+        raise ValueError("need max_halvings >= 1")
+    for halvings in range(max_halvings):
+        T = T0 / 2.0**halvings
         try:
             path, diag = picard_solve(u0, nl, TimeGrid(T, n), oversample, tol, max_iter)
             return T, path, diag
-        except NoConvergence:
+        except NoConvergence as exc:
             log.info("picard diverged at T=%g; halving", T)
-            T /= 2.0
-    raise NoConvergence(max_iter, np.inf)
+            last = exc.with_traceback(None)  # its frames hold the failed iterates
+    raise NoConvergence(
+        last.max_iter, last.last_ratio, last.iterations, T=T, halvings=halvings
+    ) from last

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from torus_nls.evolution import (PropagatorPlan, duhamel_integral,
-                                 duhamel_operator, free_flow_path,
-                                 one_mode_duhamel_exact, propagate)
+from torus_nls.evolution import (duhamel_integral, duhamel_operator,
+                                 free_flow_path, one_mode_duhamel_exact,
+                                 propagate)
 from torus_nls.lattice import SpectralField, TorusMetric, q_form
 from torus_nls.nonlinearity import PowerNonlinearity, apply_F
 from torus_nls.norms import SpaceTimePath, TimeGrid, sobolev_norm
@@ -31,15 +31,6 @@ def test_propagate_unitary_and_group_law():
     assert np.max(np.abs(z.coeffs - f.coeffs)) == 0.0
     inv = propagate(propagate(f, 0.7), -0.7)
     assert np.max(np.abs(inv.coeffs - f.coeffs)) < 1e-12
-
-
-def test_propagator_plan_matches_propagate():
-    f = random_field(2, seed=2)
-    plan = PropagatorPlan(METRIC, 2, 0.05)
-    stepped = plan.step(plan.step(f))
-    direct = propagate(f, 0.1)
-    assert np.max(np.abs(stepped.coeffs - direct.coeffs)) < 1e-13
-    assert np.allclose(np.abs(plan.phases), 1.0)
 
 
 def test_free_flow_path_frames():

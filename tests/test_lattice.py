@@ -53,6 +53,55 @@ def test_roundtrip_exact():
         assert np.max(np.abs(back.coeffs - f.coeffs)) < 1e-12
 
 
+def full_fft_grid(f, oversample):
+    """to_grid as the full 3-D inverse FFT of the zero-padded spectrum."""
+    M = f.bandlimit
+    n = oversample * (2 * M + 1)
+    spec = np.zeros((n, n, n), dtype=np.complex128)
+    idx = np.arange(-M, M + 1) % n
+    spec[np.ix_(idx, idx, idx)] = f.coeffs
+    return np.fft.ifftn(spec) * n**3
+
+
+def full_fft_coeffs(samples, bandlimit):
+    """to_spectral as the full 3-D FFT of the samples, then truncated."""
+    n = samples.shape[0]
+    spec = np.fft.fftn(samples) / n**3
+    idx = np.arange(-bandlimit, bandlimit + 1) % n
+    return spec[np.ix_(idx, idx, idx)]
+
+
+@pytest.mark.parametrize("M", [0, 1, 3, 8])
+def test_transforms_equal_full_fft(M):
+    f = random_field(M, seed=10 + M)
+    for oversample in (1, 2, 3, 4):
+        g = to_grid(f, oversample)
+        assert np.array_equal(g.samples, full_fft_grid(f, oversample))
+        n = g.n
+        # every bandlimit the grid resolves, b = 2M (the presets' choice) among them
+        for b in range(0, (n - 1) // 2 + 1):
+            assert np.array_equal(to_spectral(g, b).coeffs, full_fft_coeffs(g.samples, b))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 3), st.integers(1, 3), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+def test_transforms_equal_full_fft_property(M, oversample, seed, frac):
+    f = random_field(M, seed=seed, scale=10.0 ** (seed % 7 - 3))
+    g = to_grid(f, oversample)
+    assert np.array_equal(g.samples, full_fft_grid(f, oversample))
+    b = round(frac * ((g.n - 1) // 2))
+    assert np.array_equal(to_spectral(g, b).coeffs, full_fft_coeffs(g.samples, b))
+
+
+def test_to_spectral_leaves_samples_alone():
+    g = to_grid(random_field(2, seed=11), 2)
+    before = g.samples.copy()
+    g.samples.flags.writeable = False  # a write into the samples would raise
+    to_spectral(g, 2)
+    to_spectral(g, 4)
+    assert np.array_equal(g.samples, before)
+
+
 def test_parseval():
     f = random_field(2, seed=2)
     g = to_grid(f, 2)

@@ -176,3 +176,21 @@ def test_find_T_halves_until_convergence():
     # the datum converges at the returned T directly
     p2, d2 = picard_solve(u0, nl, TimeGrid(T, 16), tol=1e-8, max_iter=12)
     assert d2.converged
+
+
+def test_find_T_failure_names_the_last_solve():
+    nl = PowerNonlinearity(2.0)
+    u0 = 50.0 * random_field(1, seed=2)
+    with pytest.raises(NoConvergence) as exc:
+        find_T(u0, nl, T0=1.0, n=8, max_iter=8, max_halvings=3)
+    # solves at T = 1, 0.5, 0.25; the last bails out on divergence
+    with pytest.raises(NoConvergence) as last:
+        picard_solve(u0, nl, TimeGrid(0.25, 8), max_iter=8)
+    err = exc.value
+    assert (err.T, err.halvings) == (0.25, 2)
+    assert (err.iterations, err.max_iter) == (last.value.iterations, 8)
+    assert err.last_ratio == last.value.last_ratio and np.isfinite(err.last_ratio)
+    assert f"after {err.iterations} of 8 iterations" in str(err)
+    assert "at T=0.25 after 2 halvings of T" in str(err)
+    with pytest.raises(ValueError):
+        find_T(u0, nl, max_halvings=0)
