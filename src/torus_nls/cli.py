@@ -37,14 +37,17 @@ EXIT_NUMERICAL = 3
 
 def _resolve_seed(args, cfg: RunConfig) -> int:
     if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get("TORUS_NLS_SEED")
-    if env is not None:
+        source, seed = "--seed", args.seed
+    elif (env := os.environ.get("TORUS_NLS_SEED")) is not None:
         try:
-            return int(env)
+            source, seed = "TORUS_NLS_SEED", int(env)
         except ValueError as exc:
             raise ConfigError(f"TORUS_NLS_SEED must be an integer, got {env!r}") from exc
-    return cfg.seed
+    else:
+        return cfg.seed  # RunConfig has checked it
+    if seed < 0:
+        raise ConfigError(f"{source} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _load_cfg(args) -> RunConfig:
@@ -106,19 +109,18 @@ def cmd_verify(args) -> int:
     names = preset_names() if args.preset == "all" else [args.preset]
     env = RunEnvironment(
         metric=_metric(cfg),
-        T=min(cfg.T, 1.0) if not args.allow_large_T else cfg.T,
+        T=cfg.T,
         n_time=cfg.n_time,
         oversample=cfg.oversample,
         profile=cfg.profile,
         unsafe=args.unsafe,
         allow_large_T=args.allow_large_T,
     )
+    overrides = {} if args.slack is None else {"slack": args.slack}
     outdir = Path(cfg.output_dir)
     worst = EXIT_OK
     for name in names:
-        spec = get_preset(name, seed=seed, trials=args.trials)
-        if args.slack is not None:
-            spec = get_preset(name, seed=seed, trials=args.trials, slack=args.slack)
+        spec = get_preset(name, seed=seed, trials=args.trials, **overrides)
         report = run_estimate(spec, env)
         jpath, _ = tio.write_report(report, outdir, name)
         print(f"{name}: {report.verdict} (slope={report.slope.get('value', 'n/a')}, "

@@ -36,6 +36,12 @@ class RunConfig:
             raise ConfigError(f"profile must be sharp|smooth, got {self.profile!r}")
         if self.sign not in (1, -1):
             raise ConfigError(f"sign must be 1 or -1, got {self.sign}")
+        if self.n_time < 2:
+            raise ConfigError(f"n_time must be at least 2, got {self.n_time}")
+        if self.bandlimit < 0:
+            raise ConfigError(f"bandlimit must be non-negative, got {self.bandlimit}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
     @property
     def theta(self) -> tuple[float, float, float]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..lattice import TorusMetric, lattice_points, to_grid
-from ..littlewood_paley import CubeDecomposition, _sum_box_distance
+from ..littlewood_paley import _sum_box_distance
 from .samplers import SamplerSpec, random_field
 
 

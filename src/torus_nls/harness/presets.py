@@ -32,11 +32,6 @@ def _sample(spec, env, N, rng, M, grid, **over) -> SpaceTimePath:
     return sample_path(s, env.metric, M, N, grid, rng)
 
 
-def _const_path(field: SpectralField, grid: TimeGrid) -> SpaceTimePath:
-    coeffs = np.broadcast_to(field.coeffs[None], (grid.n,) + field.coeffs.shape).copy()
-    return SpaceTimePath(grid, field.metric, field.bandlimit, coeffs)
-
-
 def _field(spec, env, N, rng, M, **over) -> SpectralField:
     s = replace(spec.sampler, **over) if over else spec.sampler
     return random_field(s, env.metric, M, N, rng)
@@ -44,6 +39,16 @@ def _field(spec, env, N, rng, M, **over) -> SpectralField:
 
 def _grid_lp(samples: np.ndarray, r: float) -> float:
     return float(np.mean(np.abs(samples) ** r) ** (1.0 / r))
+
+
+def _static(field: SpectralField, grid: TimeGrid) -> SpaceTimePath:
+    return SpaceTimePath.from_fields(grid, [field] * grid.n)
+
+
+def _hoelder_factor(h: SpectralField, alpha: float, M: int) -> SpectralField:
+    """G(h) = |h|^alpha, sampled on the 4x grid and truncated to bandlimit M."""
+    gh = to_grid(h, 4).samples
+    return to_spectral(GridField(h.metric, np.abs(gh) ** alpha + 0j), M)
 
 
 # --------------------------------------------------------------------------
@@ -166,8 +171,7 @@ def _bernstein_evaluator(spec, env, N, rng):
     M_out = int(spec.param("out_bandlimit", 16))
     env.check_guard(M_out)
     u = _field(spec, env, int(spec.param("data_band", 4)), rng, M_out, support="ball")
-    gu = to_grid(u, 4).samples
-    G = to_spectral(GridField(u.metric, np.abs(gu) ** alpha + 0j), M_out)
+    G = _hoelder_factor(u, alpha, M_out)
     lhs = to_grid(project_dyadic(G, N, env.profile), 2).lp_norm(p / alpha)
     gmag = np.sqrt(
         sum(np.abs(to_grid(g, 2).samples) ** 2 for g in gradient_fields(u))
@@ -206,24 +210,37 @@ def _pair_with_path(X: SpectralField, v: SpaceTimePath) -> float:
     return abs(v.grid.dt * np.einsum("tijk,ijk->", v.coeffs, x_rev))
 
 
-def _cubic_main_evaluator(spec, env, N, rng):
-    p = 2.0
-    s_c = s_critical(p)  # 1/2
+def _draw_factors(spec, env, N, rng):
+    """Grid, bandlimit M, N2 and the factors [v_N, u_N, u_{N2}, u_{N3}],
+    drawn in that order, of the quadrilinear presets."""
     n2, n3 = int(spec.param("N2", 2)), int(spec.param("N3", 1))
     M = max(N, n2, n3)
     env.check_guard(M)
     grid = _mk_grid(spec, env)
-    v = _field(spec, env, N, rng, M)
-    u1 = _field(spec, env, N, rng, M)
-    u2 = _field(spec, env, n2, rng, M)
-    u3 = _field(spec, env, n3, rng, M)
-    prod = np.prod([to_grid(f, env.oversample).samples for f in (v, u1, u2, u3)], axis=0)
-    lhs = grid.T * abs(np.mean(prod))
-    rhs = (y_norm(_const_path(v, grid), -s_c)
-           * y_norm(_const_path(u1, grid), s_c)
-           * y_norm(_const_path(u2, grid), s_c)
-           * y_norm(_const_path(u3, grid), s_c))
-    return lhs, rhs
+    return grid, M, n2, [_field(spec, env, n, rng, M) for n in (N, N, n2, n3)]
+
+
+def _integral(grid: TimeGrid, env, fields, weight=None) -> float:
+    """T |mean(prod to_grid(f) * weight)|: the space-time integral of a
+    product of static factors, times an optional grid weight."""
+    prod = np.prod([to_grid(f, env.oversample).samples for f in fields], axis=0)
+    if weight is not None:
+        prod *= weight
+    return grid.T * abs(np.mean(prod))
+
+
+def _y_product(grid: TimeGrid, s_c: float, fields) -> float:
+    """||f_0||_{Y^{-s_c}} prod_{i>0} ||f_i||_{Y^{s_c}}, each f_i held static on the grid."""
+    out = y_norm(_static(fields[0], grid), -s_c)
+    for f in fields[1:]:
+        out *= y_norm(_static(f, grid), s_c)
+    return out
+
+
+def _cubic_main_evaluator(spec, env, N, rng):
+    s_c = s_critical(2.0)  # 1/2
+    grid, _, _, fields = _draw_factors(spec, env, N, rng)
+    return _integral(grid, env, fields), _y_product(grid, s_c, fields)
 
 
 def contraction_ratio(
@@ -255,8 +272,8 @@ def contraction_ratio(
     fdiff = evaluate_F(gu + gw, nl) - evaluate_F(gu, nl)
     X = to_spectral(GridField(env.metric, fdiff), M)
 
-    y_u = y_norm(_const_path(u, grid), s_c)
-    y_w = y_norm(_const_path(w, grid), s_c)
+    y_u = y_norm(_static(u, grid), s_c)
+    y_w = y_norm(_static(w, grid), s_c)
     best = 0.0
     for _ in range(dual_candidates):
         v = sample_path(SamplerSpec("step_atom", support="ball"), env.metric, M, M, grid, rng)
@@ -279,73 +296,32 @@ def _contraction_evaluator(spec, env, N, rng):
 
 
 def _incomparable_evaluator(spec, env, N, rng):
-    p = spec.param("p", 2.5)
-    s_c = s_critical(p)
-    n2, n3 = int(spec.param("N2", 2)), int(spec.param("N3", 1))
-    M = max(N, n2, n3)
-    env.check_guard(M)
-    grid = _mk_grid(spec, env)
-    v = _field(spec, env, N, rng, M)
-    u1 = _field(spec, env, N, rng, M)
-    w = _field(spec, env, n2, rng, M)
-    u3 = _field(spec, env, n3, rng, M)
+    s_c = s_critical(spec.param("p", 2.5))
+    grid, _, _, fields = _draw_factors(spec, env, N, rng)
+    v, u1, w, u3 = fields
     du1 = fractional_multiplier(u1, 1.0, "homogeneous")  # |Q|^{1/2} derivative weight
-    prod = np.prod([to_grid(f, env.oversample).samples for f in (v, du1, w, u3)], axis=0)
-    lhs = grid.T * abs(np.mean(prod))
-    rhs = N * (y_norm(_const_path(v, grid), -s_c)
-               * y_norm(_const_path(u1, grid), s_c)
-               * y_norm(_const_path(w, grid), s_c)
-               * y_norm(_const_path(u3, grid), s_c))
-    return lhs, rhs
+    return _integral(grid, env, [v, du1, w, u3]), N * _y_product(grid, s_c, fields)
 
 
 def _comparable_p3_evaluator(spec, env, N, rng):
-    p = 3.0
-    s_c = s_critical(p)
-    n2, n3 = int(spec.param("N2", 2)), int(spec.param("N3", 1))
-    M = max(N, n2, n3)
-    env.check_guard(M)
-    grid = _mk_grid(spec, env)
-    v = _field(spec, env, N, rng, M)
-    w1 = _field(spec, env, N, rng, M)
-    u2 = _field(spec, env, n2, rng, M)
-    u3 = _field(spec, env, n3, rng, M)
+    s_c = s_critical(3.0)
+    grid, M, n2, fields = _draw_factors(spec, env, N, rng)
     h = _field(spec, env, n2, rng, M, support="ball")
-    grids = [to_grid(f, env.oversample).samples for f in (v, w1, u2, u3)]
     gh = np.abs(to_grid(h, env.oversample).samples)  # |h|^{p-2}, p-2 = 1
-    lhs = grid.T * abs(np.mean(np.prod(grids, axis=0) * gh))
-    rhs = (y_norm(_const_path(v, grid), -s_c)
-           * y_norm(_const_path(w1, grid), s_c)
-           * y_norm(_const_path(u2, grid), s_c)
-           * y_norm(_const_path(u3, grid), s_c)
-           * y_norm(_const_path(h, grid), s_c))
-    return lhs, rhs
+    return _integral(grid, env, fields, gh), _y_product(grid, s_c, fields + [h])
 
 
 def _comparable_low_evaluator(spec, env, N, rng):
     p = spec.param("p", 2.5)
     s_c = s_critical(p)
     alpha = p - 2.0
-    n2, n3 = int(spec.param("N2", 2)), int(spec.param("N3", 1))
-    M = max(N, n2, n3)
-    env.check_guard(M)
-    grid = _mk_grid(spec, env)
-    v = _field(spec, env, N, rng, M)
-    u1 = _field(spec, env, N, rng, M)
-    u2 = _field(spec, env, n2, rng, M)
-    w3 = _field(spec, env, n3, rng, M)
+    grid, M, n2, fields = _draw_factors(spec, env, N, rng)
     h = _field(spec, env, n2, rng, M, support="ball")
-    gh = to_grid(h, 4).samples
-    G = to_spectral(GridField(env.metric, np.abs(gh) ** alpha + 0j), M)
+    G = _hoelder_factor(h, alpha, M)
     gG = to_grid(project_leq(G, n2, env.profile), env.oversample).samples
-    prod = np.prod([to_grid(f, env.oversample).samples for f in (v, u1, u2, w3)], axis=0)
-    lhs = grid.T * abs(np.mean(prod * gG))
-    rhs = (y_norm(_const_path(v, grid), -s_c)
-           * y_norm(_const_path(u1, grid), s_c)
-           * y_norm(_const_path(u2, grid), s_c)
-           * y_norm(_const_path(w3, grid), s_c)
-           * max(y_norm(_const_path(h, grid), s_c), 1e-30) ** alpha)
-    return lhs, rhs
+    rhs = (_y_product(grid, s_c, fields)
+           * max(y_norm(_static(h, grid), s_c), 1e-30) ** alpha)
+    return _integral(grid, env, fields, gG), rhs
 
 
 def _comparable_high_evaluator(spec, env, N, rng):
@@ -357,22 +333,14 @@ def _comparable_high_evaluator(spec, env, N, rng):
     M = int(spec.param("bandlimit", 16))
     env.check_guard(max(M, N))
     grid = _mk_grid(spec, env)
-    v = _field(spec, env, M, rng, M, support="ball")
-    u1 = _field(spec, env, 4, rng, M)
-    u2 = _field(spec, env, 2, rng, M)
-    w3 = _field(spec, env, 1, rng, M)
+    fields = [_field(spec, env, M, rng, M, support="ball")]
+    fields += [_field(spec, env, n, rng, M) for n in (4, 2, 1)]
     h = _field(spec, env, 2, rng, M, support="ball")
-    gh = to_grid(h, 4).samples
-    G = to_spectral(GridField(env.metric, np.abs(gh) ** alpha + 0j), M)
+    G = _hoelder_factor(h, alpha, M)
     gG = to_grid(project_dyadic(G, N, env.profile), env.oversample).samples
-    prod = np.prod([to_grid(f, env.oversample).samples for f in (v, u1, u2, w3)], axis=0)
-    lhs = grid.T * abs(np.mean(prod * gG))
-    rhs = (y_norm(_const_path(v, grid), -s_c)
-           * y_norm(_const_path(u1, grid), s_c)
-           * y_norm(_const_path(u2, grid), s_c)
-           * y_norm(_const_path(w3, grid), s_c)
-           * max(y_norm(_const_path(h, grid), s_c), 1e-30) ** alpha)
-    return lhs, rhs
+    rhs = (_y_product(grid, s_c, fields)
+           * max(y_norm(_static(h, grid), s_c), 1e-30) ** alpha)
+    return _integral(grid, env, fields, gG), rhs
 
 
 def _embedding_evaluator(spec, env, N, rng):

@@ -9,11 +9,12 @@ the scale-invariant Strichartz estimate).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import SamplerDegenerate
+from ..evolution import free_flow_path
 from ..lattice import SpectralField, TorusMetric, euclidean_norm_grid, q_grid
 from ..littlewood_paley import cube_mask
 from ..norms import SpaceTimePath, TimeGrid, flow_phases
@@ -30,7 +31,6 @@ class SamplerSpec:
     amplitude: float = 1.0
     support: str = "shell"
     decay: float = 0.0  # coefficient decay <xi>^{-decay}; 0 = flat
-    options: tuple = field(default=())
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -39,9 +39,6 @@ class SamplerSpec:
             raise ValueError(f"unknown support {self.support!r}")
         if self.amplitude <= 0:
             raise ValueError("amplitude must be positive")
-
-    def opt(self, key, default=None):
-        return dict(self.options).get(key, default)
 
 
 def support_mask(support: str, N: int, bandlimit: int) -> np.ndarray:
@@ -90,18 +87,14 @@ def sample_path(
     """Draw one random space-time path of the requested kind."""
     if spec.kind == "gaussian_shell":
         f = random_field(spec, metric, bandlimit, N, rng)
-        coeffs = np.broadcast_to(f.coeffs[None], (grid.n,) + f.coeffs.shape).copy()
-        return SpaceTimePath(grid, metric, bandlimit, coeffs)
+        return SpaceTimePath.from_fields(grid, [f] * grid.n)
 
     if spec.kind == "free_flow":
-        f = random_field(spec, metric, bandlimit, N, rng)
-        phases = flow_phases(metric, grid, q_grid(metric, bandlimit))
-        return SpaceTimePath(grid, metric, bandlimit, phases * f.coeffs[None])
+        return free_flow_path(random_field(spec, metric, bandlimit, N, rng), grid)
 
     if spec.kind == "step_atom":
         # piecewise free flow: constant twisted coefficients per time block
-        n_blocks = int(spec.opt("blocks", min(4, grid.n // 2)))
-        n_blocks = max(2, min(n_blocks, grid.n))
+        n_blocks = max(2, min(4, grid.n // 2))
         cuts = np.sort(rng.choice(np.arange(1, grid.n), size=n_blocks - 1, replace=False))
         block_of = np.searchsorted(cuts, np.arange(grid.n), side="right")
         blocks = np.stack(
@@ -114,9 +107,7 @@ def sample_path(
         from ..nonlinearity import PowerNonlinearity
         from ..solver import splitstep_solve
 
-        nl = PowerNonlinearity(float(spec.opt("p", 2.0)), int(spec.opt("sign", 1)))
         u0 = random_field(spec, metric, bandlimit, N, rng)
-        path = splitstep_solve(u0, nl, grid.dt, grid.n, oversample=int(spec.opt("oversample", 2)))
-        return path
+        return splitstep_solve(u0, PowerNonlinearity(2.0), grid.dt, grid.n, oversample=2)
 
     raise ValueError(f"unknown sampler kind {spec.kind!r}")

@@ -18,14 +18,13 @@ from .lattice import SpectralField, TorusMetric
 
 
 def save_field(field: SpectralField, path) -> None:
-    flat = field.coeffs.ravel()
     doc = {
         "metric": {
             "theta": list(field.metric.theta),
             "laplace_scale": field.metric.laplace_scale,
         },
         "bandlimit": field.bandlimit,
-        "coeffs": [[float(z.real), float(z.imag)] for z in flat],
+        "coeffs": field.coeffs.view(np.float64).reshape(-1, 2).tolist(),
     }
     Path(path).write_text(json.dumps(doc), encoding="utf-8")
 
@@ -38,7 +37,6 @@ def load_field(path) -> SpectralField:
     for key in ("metric", "bandlimit", "coeffs"):
         if key not in doc:
             raise ConfigError(f"field file {path} missing key {key!r}")
-    metric = TorusMetric(tuple(doc["metric"]["theta"]), doc["metric"]["laplace_scale"])
     M = int(doc["bandlimit"])
     nn = 2 * M + 1
     pairs = np.asarray(doc["coeffs"], dtype=float)
@@ -47,7 +45,11 @@ def load_field(path) -> SpectralField:
             f"field file {path}: expected {nn**3} coefficient pairs, got {pairs.shape}"
         )
     coeffs = (pairs[:, 0] + 1j * pairs[:, 1]).reshape(nn, nn, nn)
-    return SpectralField(metric, M, coeffs)
+    try:  # a non-positive theta or a non-finite coefficient
+        metric = TorusMetric(tuple(doc["metric"]["theta"]), doc["metric"]["laplace_scale"])
+        return SpectralField(metric, M, coeffs)
+    except ValueError as exc:
+        raise ConfigError(f"field file {path}: {exc}") from exc
 
 
 def write_report(report, directory, name: str) -> tuple[Path, Path]:

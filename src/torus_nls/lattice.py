@@ -181,10 +181,8 @@ class GridField:
         return float(np.mean(a**p) ** (1.0 / p))
 
 
-def bracket_sq(metric: TorusMetric, bandlimit: int, euclidean: bool = False) -> np.ndarray:
-    """<xi>^2 = 1 + Q(xi), or 1 + |xi|^2 with the euclidean_bracket knob."""
-    if euclidean:
-        return 1.0 + euclidean_norm_grid(bandlimit) ** 2
+def bracket_sq(metric: TorusMetric, bandlimit: int) -> np.ndarray:
+    """<xi>^2 = 1 + Q(xi)."""
     return 1.0 + q_grid(metric, bandlimit)
 
 
@@ -192,18 +190,14 @@ def fractional_multiplier(
     field_: SpectralField,
     s: float,
     kind: str = "japanese_bracket",
-    euclidean: bool = False,
 ) -> SpectralField:
     """Multiply coefficients by <xi>^s, or by Q(xi)^{s/2} (zero mode killed)."""
     M = field_.bandlimit
     if kind == "japanese_bracket":
-        mult = bracket_sq(field_.metric, M, euclidean=euclidean) ** (s / 2.0)
+        mult = bracket_sq(field_.metric, M) ** (s / 2.0)
         return field_.with_coeffs(field_.coeffs * mult)
     if kind == "homogeneous":
-        if euclidean:
-            q = euclidean_norm_grid(M) ** 2
-        else:
-            q = q_grid(field_.metric, M)
+        q = q_grid(field_.metric, M)
         if s < 0 and field_.coefficient((0, 0, 0)) != 0:
             raise NegativePowerAtZeroMode(
                 "homogeneous multiplier with s < 0 requires a vanishing zero mode"

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DomainError, GridTooSmall, InvalidLebesgueExponent, UndefinedDerivative
 from .lattice import GridField, SpectralField, to_grid, to_spectral
-from .littlewood_paley import blended_projection, dyadic_ladder, project_dyadic, project_leq
+from .littlewood_paley import blended_projection, project_dyadic, project_leq
 
 
 def s_critical(p: float, d: int = 3) -> float:
@@ -255,37 +255,26 @@ def _integrate_unit_interval(fn, u: np.ndarray, w: np.ndarray, K: int, levels: i
     return acc
 
 
-def _as_complex_array(v):
-    if isinstance(v, GridField):
-        return v.samples, "grid", v
-    arr = np.asarray(v, dtype=np.complex128)
-    if arr.ndim == 0:
-        return arr.reshape(1), "scalar", None
-    return arr, "array", None
+def _ftc_pair(u: np.ndarray, w: np.ndarray, nl: PowerNonlinearity, K: int):
+    """(int_0^1 dF/dz(u + t w) dt, int_0^1 dF/dzbar(u + t w) dt) over flat arrays."""
+    return (_integrate_unit_interval(lambda z: wirtinger(z, nl, (1, 0)), u, w, K),
+            _integrate_unit_interval(lambda z: wirtinger(z, nl, (0, 1)), u, w, K))
 
 
 def ftc_linearize(u, w, nl: PowerNonlinearity, quad_nodes: int = 16):
     """w * int_0^1 dF/dz(u + t w) dt + conj(w) * int_0^1 dF/dzbar(u + t w) dt.
 
     Equals F(u+w) - F(u) up to quadrature error.  ``u`` and ``w`` may be
-    complex scalars, arrays, or GridFields (shapes must match).
+    complex scalars or arrays (w broadcast to the shape of u).
     """
     if quad_nodes < 2:
         raise ValueError("need at least 2 quadrature nodes")
-    u_arr, kind, u_obj = _as_complex_array(u)
-    w_arr, kind_w, _ = _as_complex_array(w)
+    u_arr = np.asarray(u, dtype=np.complex128)
     u_flat = u_arr.ravel()
-    w_flat = np.broadcast_to(w_arr, u_arr.shape).ravel()
-
-    i_z = _integrate_unit_interval(lambda z: wirtinger(z, nl, (1, 0)), u_flat, w_flat, quad_nodes)
-    i_zbar = _integrate_unit_interval(lambda z: wirtinger(z, nl, (0, 1)), u_flat, w_flat, quad_nodes)
+    w_flat = np.broadcast_to(np.asarray(w, dtype=np.complex128), u_arr.shape).ravel()
+    i_z, i_zbar = _ftc_pair(u_flat, w_flat, nl, quad_nodes)
     out = (w_flat * i_z + np.conj(w_flat) * i_zbar).reshape(u_arr.shape)
-
-    if kind == "scalar":
-        return complex(out[0])
-    if kind == "grid":
-        return GridField(u_obj.metric, out)
-    return out
+    return complex(out) if u_arr.ndim == 0 else out
 
 
 def lp_difference_linearize(
@@ -298,19 +287,14 @@ def lp_difference_linearize(
 ) -> tuple[SpectralField, SpectralField]:
     """The two linearization terms whose sum is F(u_{<=N}) - F(u_{<=N/2}).
 
-    term1 = u_N * int_0^1 dF/dz((P_{<=N/2} + t P_N) u) dt and term2 is the
-    conjugate companion; both are returned truncated to the bandlimit of u.
+    term1 = u_N * int_0^1 dF/dz((P_{<=N/2} + t P_N) u) dt, with P_{<=1/2} = 0,
+    and term2 is the conjugate companion; both are returned truncated to the
+    bandlimit of u.
     """
-    low = project_leq(u, max(N // 2, 1) if N > 1 else 1, profile)
-    if N == 1:
-        low = u.with_coeffs(np.zeros_like(u.coeffs))  # convention P_{<=1/2} = 0
-    shell = project_dyadic(u, N, profile)
-    g_low = to_grid(low, oversample).samples.ravel()
-    shell_samples = to_grid(shell, oversample).samples
+    g_low = to_grid(blended_projection(u, N, 0.0, profile), oversample).samples.ravel()
+    shell_samples = to_grid(project_dyadic(u, N, profile), oversample).samples
     g_shell = shell_samples.ravel()
-
-    i_z = _integrate_unit_interval(lambda z: wirtinger(z, nl, (1, 0)), g_low, g_shell, quad_nodes)
-    i_zbar = _integrate_unit_interval(lambda z: wirtinger(z, nl, (0, 1)), g_low, g_shell, quad_nodes)
+    i_z, i_zbar = _ftc_pair(g_low, g_shell, nl, quad_nodes)
 
     t1 = GridField(u.metric, (g_shell * i_z).reshape(shell_samples.shape))
     t2 = GridField(u.metric, (np.conj(g_shell) * i_zbar).reshape(shell_samples.shape))
@@ -346,9 +330,7 @@ def second_order_expansion_pointwise(
     K = quad_nodes
 
     # First-order pair: w_shell * int dFz(b_t(u+w)) dt and its conjugate.
-    uw_low, uw_shell = u_low + w_low, u_shell + w_shell
-    a_z = _integrate_unit_interval(lambda z: wirtinger(z, nl, (1, 0)), uw_low, uw_shell, K)
-    a_zbar = _integrate_unit_interval(lambda z: wirtinger(z, nl, (0, 1)), uw_low, uw_shell, K)
+    a_z, a_zbar = _ftc_pair(u_low + w_low, u_shell + w_shell, nl, K)
 
     # Second-order double integrals: for each outer node t, the inner
     # integral runs over e in [0,1] along b_t(u) + e * b_t(w).  The outer
@@ -420,11 +402,8 @@ def second_order_expansion(
     second-difference [F(u_{<=N}+w_{<=N}) - F(u_{<=N/2}+w_{<=N/2})]
     - [F(u_{<=N}) - F(u_{<=N/2})]."""
     def parts(f):
-        if N == 1:
-            low = f.with_coeffs(np.zeros_like(f.coeffs))
-        else:
-            low = project_leq(f, N // 2, profile)
-        return to_grid(low, oversample), to_grid(project_dyadic(f, N, profile), oversample)
+        return (to_grid(blended_projection(f, N, 0.0, profile), oversample),
+                to_grid(project_dyadic(f, N, profile), oversample))
 
     ul, us = parts(u)
     wl, ws = parts(w)

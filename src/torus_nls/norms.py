@@ -108,9 +108,6 @@ class SpaceTimePath:
     def frame(self, k: int) -> SpectralField:
         return SpectralField(self.metric, self.bandlimit, self.coeffs[k])
 
-    def frames(self) -> list[SpectralField]:
-        return [self.frame(k) for k in range(self.grid.n)]
-
     def map_frames(self, fn) -> "SpaceTimePath":
         return SpaceTimePath.from_fields(self.grid, [fn(self.frame(k)) for k in range(self.grid.n)])
 
@@ -124,9 +121,9 @@ class SpaceTimePath:
             raise GridMismatch("paths live on different grids")
 
 
-def sobolev_norm(field_: SpectralField, s: float, euclidean: bool = False) -> float:
+def sobolev_norm(field_: SpectralField, s: float) -> float:
     """H^s norm (sum_xi <xi>^{2s} |u_hat|^2)^{1/2} with <xi>^2 = 1 + Q(xi)."""
-    w = bracket_sq(field_.metric, field_.bandlimit, euclidean=euclidean) ** s
+    w = bracket_sq(field_.metric, field_.bandlimit) ** s
     return float(np.sqrt(np.sum(w * np.abs(field_.coeffs) ** 2)))
 
 
@@ -216,7 +213,7 @@ def _distinct_rows(values: np.ndarray) -> list[int]:
     return keep
 
 
-def y_norm(path: SpaceTimePath, s: float, euclidean: bool = False) -> float:
+def y_norm(path: SpaceTimePath, s: float) -> float:
     """Y^s norm: (sum_xi <xi>^{2s} V^2(twisted mode path)^2)^{1/2}.
 
     A static path takes V^2 = |f_xi| kappa(Q(xi)), with kappa the V^2 norm
@@ -234,7 +231,7 @@ def y_norm(path: SpaceTimePath, s: float, euclidean: bool = False) -> float:
     else:
         tw = _twisted_coeffs(path)
         v2 = _v2_batch(tw[_distinct_rows(tw)])
-    w = bracket_sq(path.metric, path.bandlimit, euclidean=euclidean).ravel() ** s
+    w = bracket_sq(path.metric, path.bandlimit).ravel() ** s
     return float(np.sqrt(np.sum(w * v2**2)))
 
 

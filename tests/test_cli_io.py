@@ -104,8 +104,8 @@ def test_write_report_and_summarize(tmp_path):
 # ----------------------------------------------------------------------- cli
 
 def _write_cfg(tmp_path, **overrides):
-    cfg = RunConfig(bandlimit=2, T=0.25, n_time=8,
-                    output_dir=str(tmp_path / "out"), **overrides)
+    values = dict(bandlimit=2, T=0.25, n_time=8, output_dir=str(tmp_path / "out"))
+    cfg = RunConfig(**{**values, **overrides})
     path = tmp_path / "run.config"
     save_config(cfg, path)
     return path
@@ -160,6 +160,43 @@ def test_cli_exit_codes(tmp_path):
     # missing field file -> usage error
     assert cli_main(["norms", "--field", str(tmp_path / "nope.json"),
                      "--norm", "hs"]) == 2
+
+
+def test_cli_verify_raises_the_T_guard(tmp_path):
+    cfg = _write_cfg(tmp_path, T=2.0)
+    argv = ["--config", str(cfg), "verify", "frac_product", "--trials", "1"]
+    assert cli_main(argv) == 3
+    assert cli_main(argv + ["--allow-large-T"]) == 0
+    doc = json.loads((tmp_path / "out" / "frac_product.json").read_text(encoding="utf-8"))
+    assert doc["environment"]["T"] == 2.0
+
+
+def _field_doc(theta=(1.0, 1.0, 1.0), value=0.0):
+    return {"metric": {"theta": list(theta), "laplace_scale": 1.0},
+            "bandlimit": 0, "coeffs": [[value, 0.0]]}
+
+
+@pytest.mark.parametrize("config, env_seed, argv, field", [
+    ("", None, ["--seed", "-1", "field", "random", "--out", "OUT"], None),
+    ("", "-1", ["field", "random", "--out", "OUT"], None),
+    ("seed = -1", None, ["field", "random", "--out", "OUT"], None),
+    ("n_time = 1", None, ["solve"], None),
+    ("bandlimit = -1", None, ["solve"], None),
+    ("", None, ["norms", "--field", "FIELD", "--norm", "hs"], _field_doc(theta=(1, -1, 1))),
+    ("", None, ["norms", "--field", "FIELD", "--norm", "hs"], _field_doc(value=float("nan"))),
+], ids=["seed_flag", "seed_env", "seed_config", "n_time", "bandlimit", "field_theta",
+        "field_nan"])
+def test_cli_malformed_input_exits_2(tmp_path, monkeypatch, config, env_seed, argv, field):
+    cfg = tmp_path / "run.config"
+    cfg.write_text(f"output_dir = {tmp_path / 'out'}\n{config}\n", encoding="utf-8")
+    if field is not None:
+        (tmp_path / "u.field.json").write_text(json.dumps(field), encoding="utf-8")
+    monkeypatch.delenv("TORUS_NLS_SEED", raising=False)
+    if env_seed is not None:
+        monkeypatch.setenv("TORUS_NLS_SEED", env_seed)
+    paths = {"OUT": str(tmp_path / "v.field.json"), "FIELD": str(tmp_path / "u.field.json")}
+    argv = [paths.get(a, a) for a in argv]
+    assert cli_main(["--config", str(cfg), *argv]) == 2
 
 
 def test_cli_seed_precedence(tmp_path, monkeypatch):

@@ -7,11 +7,12 @@ from torus_nls.errors import (DegenerateSeries, EpsilonTooLarge, GuardExceeded,
                               NotFound, SamplerDegenerate)
 from torus_nls.harness import (GUARD_BANDLIMIT, EstimateSpec, RunEnvironment,
                                SamplerSpec, cube_identity_check, epsilon_max,
-                               fit_scaling_slope, get_preset, hoelder_exponents,
+                               fit_scaling_slope, get_evaluator, get_preset,
+                               hoelder_exponents,
                                preset_names, preset_registry, random_field,
                                run_estimate, sample_path, support_mask,
                                vanishing_check)
-from torus_nls.lattice import TorusMetric
+from torus_nls.lattice import TorusMetric, lattice_points
 from torus_nls.norms import TimeGrid
 
 METRIC = TorusMetric((1.0, np.sqrt(2.0), np.sqrt(3.0)))
@@ -246,6 +247,27 @@ def test_contraction_smoke():
     spec = dataclasses.replace(spec, dyadic_range=(1, 2, 4))
     report = run_estimate(spec, RunEnvironment(T=0.25, n_time=8))
     assert report.verdict in ("pass", "fail", "inconclusive")
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_cubic_main_lhs_is_the_lattice_sum(seed):
+    # M = 2 and the default oversample 2 give n = 10 > 4M grid points per
+    # axis, so the grid mean of four factors keeps exactly the frequency
+    # quadruples that sum to zero
+    spec, env, N, M = get_preset("cubic_main"), RunEnvironment(), 2, 2
+    lhs, _ = get_evaluator("cubic_main")(spec, env, N, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    v, u1, u2, u3 = (random_field(spec.sampler, env.metric, M, n, rng) for n in (N, N, 2, 1))
+    pts = lattice_points(M)  # row-major, the order of coeffs.ravel()
+    pair = u1.coeffs.ravel()[:, None] * u2.coeffs.ravel()[None, :]
+    total = 0j
+    for xi1, a in zip(pts, v.coeffs.ravel()):
+        xi4 = -(xi1 + pts[:, None, :] + pts[None, :, :])
+        inside = np.all(np.abs(xi4) <= M, axis=-1)
+        i, j, k = np.moveaxis(np.where(inside[..., None], xi4 + M, 0), -1, 0)
+        total += a * np.sum(pair * np.where(inside, u3.coeffs[i, j, k], 0.0))
+    assert lhs > 0
+    assert lhs == pytest.approx(env.T * abs(total), rel=1e-12, abs=0)
 
 
 def test_gradient_family_rejects_p2():

@@ -152,7 +152,7 @@ def test_ftc_linearize_reconstructs(p):
     got = ftc_linearize(u, w, nl, 16)
     want = evaluate_F(u + w, nl) - evaluate_F(u, nl)
     assert np.max(np.abs(got - want)) < 1e-8
-    # scalar and GridField entry points agree
+    # scalar and array entry points agree
     assert ftc_linearize(u[0], w[0], nl, 16) == pytest.approx(complex(got[0]))
 
 

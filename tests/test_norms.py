@@ -165,15 +165,6 @@ def test_y_norm_dyadic_identity():
     assert np.sqrt(total_sq) == pytest.approx(y_norm(path, s), rel=1e-12)
 
 
-def test_y_norm_euclidean_weight():
-    path = random_path(1, 4, seed=7)
-    a = y_norm(path, 1.0)
-    b = y_norm(path, 1.0, euclidean=True)
-    assert a != pytest.approx(b)  # irrational metric separates the two brackets
-    flat = SpaceTimePath(path.grid, TorusMetric((1.0, 1.0, 1.0)), 1, path.coeffs)
-    assert y_norm(flat, 1.0) == pytest.approx(y_norm(flat, 1.0, euclidean=True))
-
-
 def test_spacetime_lp():
     ones = np.ones((4, 3, 3, 3), dtype=complex)
     ones[:, :, :, :] = 0.0
@@ -235,8 +226,6 @@ def test_sobolev_norm_weights():
     q = 1.0 + np.sqrt(2.0)
     assert sobolev_norm(d, 1.0) == pytest.approx(2.0 * np.sqrt(1 + q))
     assert sobolev_norm(d, 0.0) == pytest.approx(2.0)
-    w = bracket_sq(METRIC, 2, euclidean=True)
-    assert w[2 + 1, 2 + 1, 2 + 0] == pytest.approx(1 + 2.0)
 
 
 def test_path_validation():
