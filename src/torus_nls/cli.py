@@ -20,7 +20,7 @@ import numpy as np
 from . import io as tio
 from .config import RunConfig, config_dict, load_config, save_config
 from .errors import (ConfigError, GuardExceeded, NoConvergence, NotFound,
-                     TorusNlsError)
+                     SamplerDegenerate, TorusNlsError)
 from .harness import RunEnvironment, get_preset, preset_names, run_estimate
 from .lattice import SpectralField, TorusMetric, to_grid
 from .nonlinearity import PowerNonlinearity
@@ -130,6 +130,13 @@ def cmd_verify(args) -> int:
     return worst
 
 
+def _norms_time_grid(args) -> TimeGrid:
+    try:
+        return TimeGrid(args.T, args.n_time)
+    except ValueError as exc:
+        raise ConfigError(f"--T/--n-time: {exc}") from exc
+
+
 def cmd_norms(args) -> int:
     field = tio.load_field(args.field)
     if args.norm == "hs":
@@ -139,10 +146,10 @@ def cmd_norms(args) -> int:
     elif args.norm == "y":
         from .evolution import free_flow_path
 
-        value = y_norm(free_flow_path(field, TimeGrid(args.T, args.n_time)), args.s)
+        value = y_norm(free_flow_path(field, _norms_time_grid(args)), args.s)
     elif args.norm == "v2":
         # V^2 of the constant extension of the xi = 0 mode path
-        value = v2_norm(np.full(args.n_time, field.coefficient((0, 0, 0))))
+        value = v2_norm(np.full(_norms_time_grid(args).n, field.coefficient((0, 0, 0))))
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigError(f"unknown norm {args.norm!r}")
     if not np.isfinite(value):
@@ -160,10 +167,12 @@ def cmd_field(args) -> int:
     from .harness.samplers import SamplerSpec, random_field
 
     support = {"random": "ball", "shell": "shell", "free-flow": "ball"}[args.kind]
-    f = random_field(
-        SamplerSpec("gaussian_shell", amplitude=args.amplitude, support=support),
-        metric, cfg.bandlimit, args.N or cfg.bandlimit, rng,
-    )
+    N = args.N or cfg.bandlimit
+    try:
+        f = random_field(SamplerSpec("gaussian_shell", amplitude=args.amplitude, support=support),
+                         metric, cfg.bandlimit, N, rng)
+    except SamplerDegenerate as exc:
+        raise ConfigError(f"--N {N}: {exc}") from exc
     if args.kind == "free-flow":
         from .evolution import propagate
 

@@ -42,6 +42,12 @@ class RunConfig:
             raise ConfigError(f"bandlimit must be non-negative, got {self.bandlimit}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        if self.p < 2:
+            raise ConfigError(f"p must be at least 2, got {self.p}")
+        if any(t <= 0 for t in self.theta):
+            raise ConfigError(f"theta1..theta3 must be positive, got {self.theta}")
+        if self.oversample < 2:
+            raise ConfigError(f"oversample must be at least 2, got {self.oversample}")
 
     @property
     def theta(self) -> tuple[float, float, float]:

@@ -24,8 +24,7 @@ def propagate(field_: SpectralField, t: float) -> SpectralField:
 
 def free_flow_path(u0: SpectralField, grid: TimeGrid) -> SpaceTimePath:
     """The linear evolution e^{it Delta}u0 sampled on the time grid."""
-    phases = flow_phases(u0.metric, grid, q_grid(u0.metric, u0.bandlimit))
-    return SpaceTimePath(grid, u0.metric, u0.bandlimit, phases * u0.coeffs[None])
+    return SpaceTimePath.free_steps(grid, u0.metric, u0.bandlimit, u0.coeffs[None])
 
 
 def _duhamel_partials(forcing: SpaceTimePath) -> np.ndarray:

@@ -19,8 +19,20 @@ from __future__ import annotations
 import numpy as np
 
 from ..lattice import TorusMetric, lattice_points, to_grid
-from ..littlewood_paley import _sum_box_distance
 from .samplers import SamplerSpec, random_field
+
+
+def _sum_box_distance(anchor_sum: np.ndarray, side: int) -> np.ndarray:
+    """Euclidean distance from the origin to the sum box [S, S + 2(side-1)].
+
+    ``anchor_sum`` has shape (..., 3).  The clamp point is itself a lattice
+    point, so distance <= R exactly characterizes 'the sum set contains a
+    point of the ball |xi| <= R'.
+    """
+    lo = anchor_sum.astype(float)
+    hi = lo + 2.0 * (side - 1)
+    per_axis = np.maximum(0.0, np.maximum(lo, -hi))
+    return np.sqrt(np.sum(per_axis**2, axis=-1))
 
 
 def _shell_modes(field):

@@ -15,9 +15,9 @@ import numpy as np
 
 from ..errors import SamplerDegenerate
 from ..evolution import free_flow_path
-from ..lattice import SpectralField, TorusMetric, euclidean_norm_grid, q_grid
+from ..lattice import SpectralField, TorusMetric, euclidean_norm_grid
 from ..littlewood_paley import cube_mask
-from ..norms import SpaceTimePath, TimeGrid, flow_phases
+from ..norms import SpaceTimePath, TimeGrid
 
 KINDS = ("gaussian_shell", "free_flow", "step_atom", "solver_output")
 SUPPORTS = ("shell", "ball", "cube")
@@ -96,12 +96,8 @@ def sample_path(
         # piecewise free flow: constant twisted coefficients per time block
         n_blocks = max(2, min(4, grid.n // 2))
         cuts = np.sort(rng.choice(np.arange(1, grid.n), size=n_blocks - 1, replace=False))
-        block_of = np.searchsorted(cuts, np.arange(grid.n), side="right")
-        blocks = np.stack(
-            [random_field(spec, metric, bandlimit, N, rng).coeffs for _ in range(n_blocks)]
-        )
-        coeffs = flow_phases(metric, grid, q_grid(metric, bandlimit)) * blocks[block_of]
-        return SpaceTimePath(grid, metric, bandlimit, coeffs)
+        steps = [random_field(spec, metric, bandlimit, N, rng).coeffs for _ in range(n_blocks)]
+        return SpaceTimePath.free_steps(grid, metric, bandlimit, np.stack(steps), cuts)
 
     if spec.kind == "solver_output":
         from ..nonlinearity import PowerNonlinearity

@@ -1,4 +1,4 @@
-"""Dyadic cutoffs, Littlewood-Paley projections, and cube decompositions.
+"""Dyadic cutoffs, Littlewood-Paley projections, and lattice cube masks.
 
 Cutoffs act on the Euclidean norm of the integer frequency vector (the
 metric never enters here).  Two profiles are supported:
@@ -13,8 +13,6 @@ convention psi_1 = phi.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,35 +99,6 @@ def dyadic_ladder(bandlimit: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class CubeDecomposition:
-    """Tiling of [-M, M]^3 by integer-anchored, half-open cubes of side N.
-
-    Each lattice point xi belongs to the cube anchored at floor(xi/N)*N;
-    ``anchors`` lists the anchors of all cubes meeting the truncated lattice.
-    """
-
-    bandlimit: int
-    side: int
-    anchors: tuple[tuple[int, int, int], ...]
-
-    @classmethod
-    def build(cls, bandlimit: int, side: int) -> "CubeDecomposition":
-        side = int(side)
-        if side < 1:
-            raise ValueError("cube side must be >= 1")
-        # anchors are the multiples of `side` whose cube [a, a+side) meets [-M, M]
-        a0 = int(np.floor(-bandlimit / side)) * side
-        axis_anchors = list(range(a0, bandlimit + 1, side))
-        anchors = tuple(
-            (i, j, k) for i in axis_anchors for j in axis_anchors for k in axis_anchors
-        )
-        return cls(bandlimit, side, anchors)
-
-    def anchor_of(self, xi) -> tuple[int, int, int]:
-        return tuple(int(np.floor(x / self.side)) * self.side for x in xi)
-
-
 def cube_mask(anchor, side: int, bandlimit: int) -> np.ndarray:
     """Boolean mask of the lattice cube [anchor, anchor + side) on the coefficient grid."""
     M = bandlimit
@@ -141,42 +110,3 @@ def cube_mask(anchor, side: int, bandlimit: int) -> np.ndarray:
     return (
         masks[0][:, None, None] & masks[1][None, :, None] & masks[2][None, None, :]
     )
-
-
-def project_cube(field: SpectralField, anchor, side: int) -> SpectralField:
-    """Sharp restriction of coefficients to the cube [anchor, anchor + side)."""
-    mask = cube_mask(anchor, side, field.bandlimit)
-    return field.with_coeffs(np.where(mask, field.coeffs, 0.0))
-
-
-def _sum_box_distance(anchor_sum: np.ndarray, side: int) -> np.ndarray:
-    """Euclidean distance from the origin to the sum box [S, S + 2(side-1)].
-
-    ``anchor_sum`` has shape (..., 3).  The clamp point is itself a lattice
-    point, so distance <= R exactly characterizes 'the sum set contains a
-    point of the ball |xi| <= R'.
-    """
-    lo = anchor_sum.astype(float)
-    hi = lo + 2.0 * (side - 1)
-    per_axis = np.maximum(0.0, np.maximum(lo, -hi))
-    return np.sqrt(np.sum(per_axis**2, axis=-1))
-
-
-def related_cube_pairs(decomp: CubeDecomposition, support_radius: float):
-    """All unordered anchor pairs whose sum set meets the ball |xi| <= R.
-
-    Self-pairs are included.  The per-cube partner count is uniformly
-    bounded (<= 125 within the desk-scale lattice guard).
-    """
-    if support_radius <= 0:
-        raise ValueError("support_radius must be positive")
-    anchors = np.asarray(decomp.anchors)
-    m = len(anchors)
-    iu, ju = np.triu_indices(m)
-    sums = anchors[iu] + anchors[ju]
-    dist = _sum_box_distance(sums, decomp.side)
-    keep = dist <= support_radius
-    return [
-        (tuple(anchors[i]), tuple(anchors[j]))
-        for i, j in zip(iu[keep], ju[keep])
-    ]

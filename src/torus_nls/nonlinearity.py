@@ -120,12 +120,6 @@ def _wirtinger_terms(p: float, a: int, b: int) -> tuple[tuple[float, int], ...]:
     return tuple(sorted((c, e) for e, c in collapsed.items() if c != 0.0))
 
 
-def wirtinger_bound_constant(nl: PowerNonlinearity, order: tuple[int, int]) -> float:
-    """C(p) in |d^(a,b) F(z)| <= C(p) |z|^{p+1-a-b} (sum of |monomial coeffs|)."""
-    a, b = validate_order(nl.p, order)
-    return float(sum(abs(c) for c, _ in _wirtinger_terms(nl.p, a, b)))
-
-
 def wirtinger(z, nl: PowerNonlinearity, order: tuple[int, int] = (0, 0)):
     """Closed-form Wirtinger derivative of F at z (scalar or array)."""
     a, b = validate_order(nl.p, order)

@@ -3,26 +3,23 @@
 The V^2 norm of a discrete path is computed *exactly* over the time grid by
 an O(n^2) dynamic program (the continuum supremum is approximated only
 through the time discretization).  The Y^s norm twists each Fourier mode by
-the free flow and takes the V^2 norm of the twisted mode path; with the
-unitary convention this makes free flows have Y^s norm equal to the H^s
-norm of the data, exactly.
+the free flow and takes the V^2 norm of the twisted mode path, the profile
+e^{-itDelta}u; with the unitary convention this makes free flows have Y^s
+norm equal to the H^s norm of the data, exactly.
 
-y_norm runs the dynamic program only on the rows and columns that can
-change the result, chosen from the input:
+y_norm runs the dynamic program on as few rows as the path's structure
+allows, and every route is exact:
 
+- a piecewise free flow (SpaceTimePath.free_steps: free flows and step
+  atoms) carries its profile steps, and the twisted path is that step
+  sequence, so the program runs on the steps;
 - a static path (every time row equal to row 0) twists to f_xi e^{ictQ(xi)},
   whose V^2 norm is |f_xi| kappa(Q(xi)); kappa, the V^2 norm of the unit
   phase path, is computed on the distinct values of Q only;
-- any other path is twisted, and a row is dropped when every twisted value
-  lies within 64 eps of the last kept row's, relative to that row.  Merging
-  equal consecutive values leaves V^2 unchanged, and replacing rows by a
-  value within delta moves V^2 by at most 2 delta sqrt(n+1), so step atoms
-  run on their n_blocks rows and free flows on one.  A path with no such
-  rows runs the full program unchanged.
+- any other path is twisted and runs the full program on every row.
 
 flow_phases is the only builder of the free-flow phase e^{-ictQ} on a time
-grid, so a step atom or free flow built with it twists back to rows that
-agree to a few ulps, which the row merge above relies on.
+grid.
 
 U^2 and X^s have no tractable exact computation (atomic infimum, duality
 supremum); they are replaced by one-sided computable surrogates
@@ -78,12 +75,17 @@ class ModePath:
 
 @dataclass(frozen=True)
 class SpaceTimePath:
-    """A SpectralField per time node, stored as stacked coefficients."""
+    """A SpectralField per time node, stored as stacked coefficients.
+
+    ``steps`` holds the profile steps of a piecewise free flow and is set
+    only by ``free_steps``; every other path has ``steps = None``.
+    """
 
     grid: TimeGrid
     metric: TorusMetric
     bandlimit: int
     coeffs: np.ndarray = field(repr=False)  # (n_t, 2M+1, 2M+1, 2M+1)
+    steps: np.ndarray | None = field(default=None, init=False, repr=False)  # (k, 2M+1, 2M+1, 2M+1)
 
     def __post_init__(self):
         nn = 2 * self.bandlimit + 1
@@ -94,6 +96,30 @@ class SpaceTimePath:
             raise ValueError("path contains NaN or Inf")
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
+
+    @classmethod
+    def free_steps(cls, grid: TimeGrid, metric: TorusMetric, bandlimit: int, steps,
+                   cuts=()) -> "SpaceTimePath":
+        """Piecewise free flow: node t_k carries e^{it_k Delta} steps[j], with
+        j the number of cuts <= k; cuts are increasing node indices in
+        [1, n_t - 1], one fewer than the steps."""
+        nn = 2 * bandlimit + 1
+        steps = np.ascontiguousarray(steps, dtype=np.complex128)
+        cuts = np.asarray(cuts, dtype=np.int64)
+        if steps.shape != (cuts.size + 1, nn, nn, nn):
+            raise ValueError(f"steps shape {steps.shape} inconsistent with "
+                             f"{cuts.size} cuts and bandlimit {bandlimit}")
+        if cuts.size and not (cuts[0] >= 1 and cuts[-1] < grid.n and np.all(np.diff(cuts) > 0)):
+            raise ValueError(f"cuts must increase within [1, {grid.n - 1}], got {cuts}")
+        flow = flow_phases(metric, grid, q_grid(metric, bandlimit))
+        if cuts.size:
+            coeffs = flow * steps[np.searchsorted(cuts, np.arange(grid.n), side="right")]
+        else:
+            coeffs = flow * steps
+        path = cls(grid, metric, bandlimit, coeffs)
+        steps.flags.writeable = False
+        object.__setattr__(path, "steps", steps)
+        return path
 
     @classmethod
     def from_fields(cls, grid: TimeGrid, fields: list[SpectralField]) -> "SpaceTimePath":
@@ -141,23 +167,21 @@ def spacetime_lp(path: SpaceTimePath, p_t: float, p_x: float, oversample: int = 
 def _v2_batch(values: np.ndarray) -> np.ndarray:
     """Exact discrete V^2 norm per column of a (n_t, m) array.
 
-    Appends the terminal value 0 at t = T, then runs the chain dynamic
-    program best[j] = max_{i<j}(best[i] + |a_j - a_i|^2); since best >= 0,
+    Runs the chain dynamic program best[j] = max_{i<j}(best[i] + |a_j - a_i|^2)
+    and ends every chain at the terminal value 0 at t = T; since best >= 0,
     chains may start at any index, and extending to the terminal node never
-    decreases the sum, so sqrt(best[-1]) is the exact partition supremum.
+    decreases the sum, so the square root is the exact partition supremum.
     """
-    a = np.concatenate([values, np.zeros((1, values.shape[1]), dtype=values.dtype)])
-    n = a.shape[0]
-    best = np.zeros_like(a, dtype=np.float64)
-    for j in range(1, n):
-        inc = np.abs(a[j][None, :] - a[:j]) ** 2
+    best = np.zeros(values.shape, dtype=np.float64)
+    for j in range(1, values.shape[0]):
+        inc = np.abs(values[j][None, :] - values[:j]) ** 2
         best[j] = np.max(best[:j] + inc, axis=0)
-    return np.sqrt(best[-1])
+    return np.sqrt(np.max(best + np.abs(values) ** 2, axis=0))
 
 
 def v2_norm(mode) -> float:
     """Exact V^2 norm of one mode path (terminal convention a(T) = 0)."""
-    values = mode.values if isinstance(mode, ModePath) else np.asarray(mode, dtype=np.complex128)
+    values = (mode if isinstance(mode, ModePath) else ModePath(mode)).values
     return float(_v2_batch(values.reshape(-1, 1))[0])
 
 
@@ -196,41 +220,23 @@ def _twisted_coeffs(path: SpaceTimePath) -> np.ndarray:
     return tw
 
 
-# rows of a twisted path closer than this (relative) to the last kept row are
-# merged into it: a few ulps is what |e^{-ictQ}|^2 differs from 1 by
-_MERGE_RTOL = 64 * np.finfo(np.float64).eps
-
-
-def _distinct_rows(values: np.ndarray) -> list[int]:
-    """Indices of the rows of a (n_t, m) array that differ, beyond
-    _MERGE_RTOL, from the last kept row; one row is compared at a time."""
-    keep = [0]
-    ref, tol = values[0], _MERGE_RTOL * np.abs(values[0])
-    for k in range(1, values.shape[0]):
-        if not np.all(np.abs(values[k] - ref) <= tol):
-            keep.append(k)
-            ref, tol = values[k], _MERGE_RTOL * np.abs(values[k])
-    return keep
-
-
 def y_norm(path: SpaceTimePath, s: float) -> float:
     """Y^s norm: (sum_xi <xi>^{2s} V^2(twisted mode path)^2)^{1/2}.
 
-    A static path takes V^2 = |f_xi| kappa(Q(xi)), with kappa the V^2 norm
-    of the unit phase path on the distinct values of Q.  Any other path is
-    twisted and runs the dynamic program on the rows that differ from the
-    last kept one by more than 64 eps relatively; a merged row within delta
-    of its neighbour moves V^2 by at most 2 delta sqrt(n+1), and a path with
-    no merged row gives exactly the full program's value.
+    A path built by free_steps twists to its step sequence, so V^2 runs on
+    the steps.  A static path takes V^2 = |f_xi| kappa(Q(xi)), with kappa
+    the V^2 norm of the unit phase path on the distinct values of Q.  Any
+    other path is twisted and runs the dynamic program on every row.
     """
     flat = path.coeffs.reshape(path.grid.n, -1)
-    if all(np.array_equal(row, flat[0]) for row in flat[1:]):
+    if path.steps is not None:
+        v2 = _v2_batch(path.steps.reshape(len(path.steps), -1))
+    elif all(np.array_equal(row, flat[0]) for row in flat[1:]):
         q_values, q_index = np.unique(q_grid(path.metric, path.bandlimit), return_inverse=True)
         kappa = _v2_batch(flow_phases(path.metric, path.grid, q_values))
         v2 = np.abs(flat[0]) * kappa[q_index.ravel()]
     else:
-        tw = _twisted_coeffs(path)
-        v2 = _v2_batch(tw[_distinct_rows(tw)])
+        v2 = _v2_batch(_twisted_coeffs(path))
     w = bracket_sq(path.metric, path.bandlimit).ravel() ** s
     return float(np.sqrt(np.sum(w * v2**2)))
 
@@ -246,20 +252,17 @@ def _random_candidate(path: SpaceTimePath, rng: np.random.Generator, kind: str) 
     """A random dual candidate: free flow or twisted step path on f's grid."""
     n_t = path.grid.n
     nn = 2 * path.bandlimit + 1
-    flow = flow_phases(path.metric, path.grid, q_grid(path.metric, path.bandlimit))
 
     def rand_field():
         return (rng.standard_normal((nn, nn, nn)) + 1j * rng.standard_normal((nn, nn, nn)))
 
     if kind == "free_flow":
-        coeffs = flow * rand_field()[None]
+        steps, cuts = rand_field()[None], ()
     else:  # twisted step path: piecewise-constant in the twisted coordinates
         n_blocks = int(rng.integers(2, max(3, n_t // 2) + 1))
         cuts = np.sort(rng.choice(np.arange(1, n_t), size=n_blocks - 1, replace=False))
-        block_of = np.searchsorted(cuts, np.arange(n_t), side="right")
-        blocks = np.stack([rand_field() for _ in range(n_blocks)])
-        coeffs = flow * blocks[block_of]
-    return SpaceTimePath(path.grid, path.metric, path.bandlimit, coeffs)
+        steps = np.stack([rand_field() for _ in range(n_blocks)])
+    return SpaceTimePath.free_steps(path.grid, path.metric, path.bandlimit, steps, cuts)
 
 
 def xnorm_lower_bound(f: SpaceTimePath, s: float, candidate_count: int, seed: int) -> float:

@@ -184,8 +184,13 @@ def _field_doc(theta=(1.0, 1.0, 1.0), value=0.0):
     ("bandlimit = -1", None, ["solve"], None),
     ("", None, ["norms", "--field", "FIELD", "--norm", "hs"], _field_doc(theta=(1, -1, 1))),
     ("", None, ["norms", "--field", "FIELD", "--norm", "hs"], _field_doc(value=float("nan"))),
+    ("p = 1.5", None, ["solve"], None),
+    ("theta2 = 0", None, ["solve"], None),
+    ("oversample = 1", None, ["solve"], None),
+    ("", None, ["norms", "--field", "FIELD", "--norm", "y", "--n-time", "1"], _field_doc()),
+    ("", None, ["field", "shell", "--N", "64", "--out", "OUT"], None),
 ], ids=["seed_flag", "seed_env", "seed_config", "n_time", "bandlimit", "field_theta",
-        "field_nan"])
+        "field_nan", "p", "theta", "oversample", "norms_n_time", "field_N"])
 def test_cli_malformed_input_exits_2(tmp_path, monkeypatch, config, env_seed, argv, field):
     cfg = tmp_path / "run.config"
     cfg.write_text(f"output_dir = {tmp_path / 'out'}\n{config}\n", encoding="utf-8")

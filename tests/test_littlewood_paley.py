@@ -3,12 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
+from torus_nls.harness.checks import _sum_box_distance
 from torus_nls.lattice import SpectralField, TorusMetric, euclidean_norm_grid
-from torus_nls.littlewood_paley import (CubeDecomposition, blended_projection,
-                                        cube_mask, dyadic_ladder, phi_weight,
-                                        project_cube, project_dyadic,
-                                        project_leq, psi_weight,
-                                        related_cube_pairs)
+from torus_nls.littlewood_paley import (blended_projection, cube_mask,
+                                        dyadic_ladder, phi_weight,
+                                        project_dyadic, project_leq,
+                                        psi_weight)
 
 METRIC = TorusMetric((1.0, np.sqrt(2.0), np.sqrt(3.0)))
 
@@ -89,37 +89,33 @@ def test_dyadic_ladder():
     assert dyadic_ladder(0) == [1]
 
 
+def cube_anchors(M, side):
+    """Anchors (multiples of side) of the cubes [a, a + side)^3 meeting [-M, M]^3."""
+    axis = range(int(np.floor(-M / side)) * side, M + 1, side)
+    return list(itertools.product(axis, axis, axis))
+
+
 def test_cube_decomposition_partitions_lattice():
     for M, side in ((4, 2), (4, 3), (5, 4)):
-        decomp = CubeDecomposition.build(M, side)
+        anchors = cube_anchors(M, side)
         r = range(-M, M + 1)
         for xi in itertools.product(r, r, r):
-            a = decomp.anchor_of(xi)
-            assert a in decomp.anchors
+            a = tuple(int(np.floor(x / side)) * side for x in xi)
+            assert a in anchors
             assert all(a[i] <= xi[i] < a[i] + side for i in range(3))
         # masks partition the coefficient cube
         total = np.zeros((2 * M + 1,) * 3, dtype=int)
-        for a in decomp.anchors:
+        for a in anchors:
             total += cube_mask(a, side, M).astype(int)
         assert np.all(total == 1)
 
 
-def test_project_cube_partition():
-    f = random_field(4, seed=4)
-    decomp = CubeDecomposition.build(4, 2)
-    total = SpectralField.zero(METRIC, 4)
-    for a in decomp.anchors:
-        total = total + project_cube(f, a, 2)
-    assert np.max(np.abs(total.coeffs - f.coeffs)) == 0.0
-
-
-def brute_related(decomp, R):
+def brute_related(anchors, side, R):
     """Oracle: pairs whose cube sum sets actually meet the ball |xi| <= R."""
-    side = decomp.side
     offsets = list(itertools.product(range(side), repeat=3))
     related = set()
-    for a in decomp.anchors:
-        for b in decomp.anchors:
+    for a in anchors:
+        for b in anchors:
             if b < a:
                 continue
             hit = any(
@@ -132,27 +128,12 @@ def brute_related(decomp, R):
 
 
 def test_related_cube_pairs_exact():
-    decomp = CubeDecomposition.build(3, 2)
+    # the sum-box distance test that cube_identity_check restricts pairs with
+    side = 2
+    anchors = cube_anchors(3, side)
+    pairs = [(a, b) for a in anchors for b in anchors if b >= a]
+    sums = np.array([[x + y for x, y in zip(a, b)] for a, b in pairs])
     for R in (1.0, 2.0, 4.0):
-        got = {tuple(sorted(p)) for p in related_cube_pairs(decomp, R)}
-        want = {tuple(sorted(p)) for p in brute_related(decomp, R)}
-        assert got == want
-
-
-def test_partner_count_bound():
-    # per-cube partner count stays <= 125 at desk scale
-    for M, side in ((8, 2), (16, 4), (12, 2)):
-        decomp = CubeDecomposition.build(M, side)
-        pairs = related_cube_pairs(decomp, 2.0 * side)
-        counts: dict = {}
-        for a, b in pairs:
-            counts[a] = counts.get(a, 0) + 1
-            if a != b:
-                counts[b] = counts.get(b, 0) + 1
-        assert max(counts.values()) <= 125
-
-
-def test_related_pairs_validation():
-    decomp = CubeDecomposition.build(4, 2)
-    with pytest.raises(ValueError):
-        related_cube_pairs(decomp, 0.0)
+        keep = _sum_box_distance(sums, side) <= R
+        got = {p for p, k in zip(pairs, keep) if k}
+        assert got == brute_related(anchors, side, R)

@@ -15,7 +15,7 @@ from torus_nls.nonlinearity import (PowerNonlinearity, apply_F,
                                     max_wirtinger_order, s_critical,
                                     second_order_expansion,
                                     second_order_expansion_pointwise,
-                                    wirtinger, wirtinger_bound_constant)
+                                    wirtinger)
 
 METRIC = TorusMetric((1.0, np.sqrt(2.0), np.sqrt(3.0)))
 
@@ -97,17 +97,6 @@ def test_wirtinger_at_zero():
     # p = 2, order 3: shared power hits zero -> no continuous extension
     with pytest.raises(DomainError):
         wirtinger(0j, PowerNonlinearity(2.0), (2, 1))
-
-
-def test_wirtinger_bound_constant():
-    nl = PowerNonlinearity(3.5)
-    rng = np.random.default_rng(5)
-    z = rng.standard_normal(200) + 1j * rng.standard_normal(200)
-    for order in ((1, 0), (1, 1), (2, 1)):
-        c = wirtinger_bound_constant(nl, order)
-        vals = np.abs(wirtinger(z, nl, order))
-        bound = c * np.abs(z) ** (nl.p + 1 - sum(order))
-        assert np.all(vals <= bound * (1 + 1e-12))
 
 
 def brute_cubic_coeffs(f):

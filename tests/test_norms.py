@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 
 from torus_nls.errors import GridMismatch
 from torus_nls.evolution import free_flow_path
-from torus_nls.lattice import SpectralField, TorusMetric, bracket_sq
+from torus_nls.lattice import SpectralField, TorusMetric, bracket_sq, q_grid
 from torus_nls.littlewood_paley import dyadic_ladder, project_dyadic
 from torus_nls.harness.samplers import SamplerSpec, sample_path
-from torus_nls.norms import (ModePath, SpaceTimePath, TimeGrid, _distinct_rows,
-                             _twisted_coeffs, _v2_batch, duality_pairing,
-                             sobolev_norm, spacetime_lp, u2_upper_bound,
-                             v2_norm, xnorm_lower_bound, y_norm)
+from torus_nls.norms import (ModePath, SpaceTimePath, TimeGrid,
+                             _random_candidate, _twisted_coeffs, _v2_batch,
+                             duality_pairing, flow_phases, sobolev_norm,
+                             spacetime_lp, u2_upper_bound, v2_norm,
+                             xnorm_lower_bound, y_norm)
 
 METRIC = TorusMetric((1.0, np.sqrt(2.0), np.sqrt(3.0)))
 
@@ -63,14 +64,32 @@ def test_v2_hand_examples():
     stair = np.linspace(0.0, 1.0, 5)
     assert v2_norm(stair) == pytest.approx(np.sqrt(1.0 + 1.0))
     assert v2_norm([0.0, 0.0]) == 0.0
+    with pytest.raises(ValueError, match="nonempty"):
+        v2_norm([])
+
+
+def _oracle_values(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 7))
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_v2_brute_force_oracle(seed):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 7))
-    values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    values = _oracle_values(seed)
     assert v2_norm(values) == pytest.approx(brute_v2(values), rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_v2_batch_terminal_node_matches_appended_zero_row(seed):
+    # ending each chain at |a_i|^2 is the program run on a zero row appended
+    # at t = T, bit for bit (0 - a = -a exactly)
+    values = _oracle_values(seed).reshape(-1, 1)
+    a = np.concatenate([values, np.zeros((1, 1), dtype=values.dtype)])
+    best = np.zeros(a.shape)
+    for j in range(1, a.shape[0]):
+        best[j] = np.max(best[:j] + np.abs(a[j][None, :] - a[:j]) ** 2, axis=0)
+    assert np.array_equal(_v2_batch(values), np.sqrt(best[-1]))
 
 
 def test_u2_upper_bound_examples():
@@ -126,32 +145,65 @@ def test_y_norm_static_path_matches_full_dp(theta):
 
 def test_y_norm_step_atom_runs_on_its_blocks():
     grid = TimeGrid(0.5, 32)
-    spec = SamplerSpec("step_atom", support="ball")
-    path = sample_path(spec, METRIC, 3, 3, grid, np.random.default_rng(21))
-    keep = _distinct_rows(_twisted_coeffs(path))
-    assert len(keep) == 4  # the sampler's default block count
-    for s in (-0.5, 0.5):
-        assert y_norm(path, s) == pytest.approx(full_dp_y_norm(path, s), rel=1e-12)
+    for theta in [(1.0, 1.0, 1.0), (1.0, np.sqrt(2.0), np.sqrt(3.0))]:
+        metric = TorusMetric(theta)
+        path = sample_path(SamplerSpec("step_atom", support="ball"), metric, 3, 3, grid,
+                           np.random.default_rng(21))
+        assert path.steps.shape == (4, 7, 7, 7)  # the sampler's default block count
+        candidate = _random_candidate(path, np.random.default_rng(26), "step")
+        for atom in (path, candidate):
+            for s in (-0.5, 0.5):
+                assert y_norm(atom, s) == pytest.approx(full_dp_y_norm(atom, s), rel=1e-12)
 
 
 def test_y_norm_free_flow_runs_on_one_row():
     path = free_flow_path(random_field(3, seed=22), TimeGrid(0.5, 32))
-    assert _distinct_rows(_twisted_coeffs(path)) == [0]
-    assert y_norm(path, 0.5) == pytest.approx(full_dp_y_norm(path, 0.5), rel=1e-12)
+    assert path.steps.shape == (1, 7, 7, 7)
+    candidate = _random_candidate(path, np.random.default_rng(27), "free_flow")
+    assert candidate.steps.shape == (1, 7, 7, 7)
+    for flow in (path, candidate):
+        assert y_norm(flow, 0.5) == pytest.approx(full_dp_y_norm(flow, 0.5), rel=1e-12)
 
 
 def test_y_norm_varying_paths_run_the_full_dp():
-    # no two rows agree to rounding, so every row is kept and the result is
-    # the full program's, bit for bit; the atom's noise is relative, so its
-    # modes outside the support stay 0 and only the tolerance keeps the rows
+    # paths built without free_steps carry no steps, so every row runs the
+    # program and the result is the full program's, bit for bit, even for a
+    # step atom
     path = random_path(2, 12, seed=23)
+    assert path.steps is None
     assert y_norm(path, 0.5) == full_dp_y_norm(path, 0.5)
     atom = sample_path(SamplerSpec("step_atom", support="ball"), METRIC, 3, 3,
                        TimeGrid(0.5, 32), np.random.default_rng(24))
-    noise = 1e-9 * random_path(3, 32, T=0.5, seed=25).coeffs
-    noisy = SpaceTimePath(atom.grid, METRIC, 3, atom.coeffs * (1.0 + noise))
-    assert len(_distinct_rows(_twisted_coeffs(noisy))) == 32
-    assert y_norm(noisy, -0.5) == full_dp_y_norm(noisy, -0.5)
+    plain = SpaceTimePath(atom.grid, METRIC, 3, atom.coeffs)
+    assert plain.steps is None
+    for s in (-0.5, 0.5):
+        assert y_norm(plain, s) == full_dp_y_norm(plain, s)
+
+
+def test_free_steps_coefficients():
+    grid = TimeGrid(0.5, 16)
+    flow = flow_phases(METRIC, grid, q_grid(METRIC, 2))
+    blocks = np.stack([random_field(2, seed=k).coeffs for k in range(3)])
+    cuts = np.array([5, 11])
+    block_of = np.searchsorted(cuts, np.arange(grid.n), side="right")
+    path = SpaceTimePath.free_steps(grid, METRIC, 2, blocks, cuts)
+    assert np.array_equal(path.coeffs, flow * blocks[block_of])
+    assert np.array_equal(path.steps, blocks)
+    u0 = random_field(2, seed=3)
+    one = SpaceTimePath.free_steps(grid, METRIC, 2, u0.coeffs[None])
+    assert np.array_equal(one.coeffs, flow * u0.coeffs[None])
+    assert not path.steps.flags.writeable
+    # frame maps and stacked fields are general paths
+    assert path.map_frames(lambda f: f).steps is None
+    with pytest.raises(ValueError, match="steps shape"):
+        SpaceTimePath.free_steps(grid, METRIC, 2, blocks, [5])
+    with pytest.raises(ValueError, match="steps shape"):
+        SpaceTimePath.free_steps(grid, METRIC, 1, blocks, cuts)
+    for bad in ([0, 5], [5, 16], [11, 5], [5, 5]):
+        with pytest.raises(ValueError, match="cuts"):
+            SpaceTimePath.free_steps(grid, METRIC, 2, blocks, bad)
+    with pytest.raises(TypeError):
+        SpaceTimePath(grid, METRIC, 2, path.coeffs, steps=blocks)
 
 
 def test_y_norm_dyadic_identity():
