@@ -13,10 +13,12 @@ import json
 import logging
 import os
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from . import io as tio
 from .config import RunConfig, config_dict, load_config, save_config
 from .errors import (ConfigError, GuardExceeded, NoConvergence, NotFound,
@@ -72,15 +74,18 @@ def cmd_solve(args) -> int:
         u0 = SpectralField(metric, cfg.bandlimit, c)
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
+    start = time.perf_counter()
     try:
         if args.find_T:
             T, path, diag = find_T(u0, nl, cfg.T, cfg.n_time, cfg.oversample)
         else:
             T = cfg.T
-            path, diag = picard_solve(u0, nl, TimeGrid(T, cfg.n_time), cfg.oversample)
+            path, diag = picard_solve(u0, nl, TimeGrid(T, cfg.n_time), cfg.oversample,
+                                      initial="march")
     except NoConvergence as exc:
         print(f"no convergence: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    solve_s = time.perf_counter() - start
     save_config(cfg, outdir / "run.config")
     tio.save_field(u0, outdir / "u0.field.json")
     frames_dir = outdir / "frames"
@@ -93,13 +98,19 @@ def cmd_solve(args) -> int:
         "distances": list(diag.distances),
         "ratios": list(diag.ratios),
         "residual": diag.residual,
+        "march_iterations": list(diag.march_iterations),
         "mass_initial": mass(u0),
         "mass_final": mass(path.frame(path.grid.n - 1)),
         "seed": seed,
         "config": config_dict(cfg),
+        # solve_s also counts the failed solves of find_T's halvings
+        "timings": {**diag.timings, "solve_s": solve_s},
+        "provenance": {"torus_nls": __version__, "numpy": np.__version__},
     }
     (outdir / "diagnostics.json").write_text(json.dumps(diagnostics, indent=2), encoding="utf-8")
-    print(f"solved to T={T} in {diag.iterations} iterations; artifacts in {outdir}")
+    print(f"solved to T={T}: march {sum(diag.march_iterations)} iterations over "
+          f"{path.grid.n - 1} frames, Picard certificate in {diag.iterations} "
+          f"(residual {diag.residual:.3g}); artifacts in {outdir}")
     return EXIT_OK
 
 
@@ -120,7 +131,10 @@ def cmd_verify(args) -> int:
     outdir = Path(cfg.output_dir)
     worst = EXIT_OK
     for name in names:
-        spec = get_preset(name, seed=seed, trials=args.trials, **overrides)
+        try:
+            spec = get_preset(name, seed=seed, trials=args.trials, **overrides)
+        except ValueError as exc:
+            raise ConfigError(f"--trials/--slack: {exc}") from exc
         report = run_estimate(spec, env)
         jpath, _ = tio.write_report(report, outdir, name)
         print(f"{name}: {report.verdict} (slope={report.slope.get('value', 'n/a')}, "
@@ -142,6 +156,8 @@ def cmd_norms(args) -> int:
     if args.norm == "hs":
         value = sobolev_norm(field, args.s)
     elif args.norm == "lp":
+        if not args.p >= 1:
+            raise ConfigError(f"--p must be >= 1, got {args.p}")
         value = to_grid(field, 2).lp_norm(args.p)
     elif args.norm == "y":
         from .evolution import free_flow_path
@@ -169,8 +185,11 @@ def cmd_field(args) -> int:
     support = {"random": "ball", "shell": "shell", "free-flow": "ball"}[args.kind]
     N = args.N or cfg.bandlimit
     try:
-        f = random_field(SamplerSpec("gaussian_shell", amplitude=args.amplitude, support=support),
-                         metric, cfg.bandlimit, N, rng)
+        spec = SamplerSpec("gaussian_shell", amplitude=args.amplitude, support=support)
+    except ValueError as exc:
+        raise ConfigError(f"--amplitude: {exc}") from exc
+    try:
+        f = random_field(spec, metric, cfg.bandlimit, N, rng)
     except SamplerDegenerate as exc:
         raise ConfigError(f"--N {N}: {exc}") from exc
     if args.kind == "free-flow":
@@ -196,10 +215,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, help="RNG seed (overrides env and config)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", help="Picard-solve and persist artifacts")
+    p_solve = sub.add_parser("solve", help="march, Picard-certify and persist artifacts")
     p_solve.add_argument("--u0", help="initial datum .field.json (default: random small)")
     p_solve.add_argument("--find-T", action="store_true", dest="find_T",
-                         help="halve T until the iteration converges")
+                         help="halve T until the solve converges")
     p_solve.set_defaults(func=cmd_solve)
 
     p_verify = sub.add_parser("verify", help="run estimate presets")

@@ -30,21 +30,34 @@ class InvalidLebesgueExponent(TorusNlsError):
 
 
 class NoConvergence(TorusNlsError):
-    """Picard iteration failed to contract within the iteration budget."""
+    """An iterative solve stopped short of its tolerance.
 
-    def __init__(self, max_iter, last_ratio, iterations=None, T=None, halvings=None):
+    Raised when the frame-by-frame march stalls at a frame (``frame`` names
+    it), when Picard iteration fails to contract within its iteration
+    budget, and when Picard's final residual is above its tolerance
+    (``residual`` holds it).  ``iterations`` and ``last_ratio`` describe the
+    iteration that gave up: the frame's fixed point for the march, the
+    whole-window iteration for Picard.
+    """
+
+    def __init__(self, max_iter, last_ratio, iterations=None, T=None, halvings=None,
+                 frame=None, residual=None):
         iterations = max_iter if iterations is None else iterations
+        what = "no contraction" if frame is None else f"march stalled at frame {frame}"
+        above = "" if residual is None else f", residual {residual:.3g} above tol"
         # find_T names the last T it tried and how often it halved T to get there
         where = "" if T is None else f" at T={T:g} after {halvings} halvings of T"
         super().__init__(
-            f"no contraction after {iterations} of {max_iter} iterations "
-            f"(last ratio {last_ratio:.3g}){where}; try a smaller T or smaller data"
+            f"{what} after {iterations} of {max_iter} iterations "
+            f"(last ratio {last_ratio:.3g}{above}){where}; try a smaller T or smaller data"
         )
         self.max_iter = max_iter
         self.iterations = iterations
         self.last_ratio = last_ratio
         self.T = T
         self.halvings = halvings
+        self.frame = frame
+        self.residual = residual
 
 
 class SamplerDegenerate(TorusNlsError):

@@ -48,6 +48,8 @@ class EstimateSpec:
             raise ValueError("dyadic_range must be ascending powers of two, nonempty")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if not 0 <= self.slack < np.inf:
+            raise ValueError(f"slack must be finite and >= 0, got {self.slack}")
 
     def param(self, key, default=None):
         return dict(self.params).get(key, default)

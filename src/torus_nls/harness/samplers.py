@@ -37,8 +37,8 @@ class SamplerSpec:
             raise ValueError(f"unknown sampler kind {self.kind!r}")
         if self.support not in SUPPORTS:
             raise ValueError(f"unknown support {self.support!r}")
-        if self.amplitude <= 0:
-            raise ValueError("amplitude must be positive")
+        if not 0 < self.amplitude < np.inf:
+            raise ValueError(f"amplitude must be positive and finite, got {self.amplitude}")
 
 
 def support_mask(support: str, N: int, bandlimit: int) -> np.ndarray:

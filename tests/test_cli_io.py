@@ -189,8 +189,14 @@ def _field_doc(theta=(1.0, 1.0, 1.0), value=0.0):
     ("oversample = 1", None, ["solve"], None),
     ("", None, ["norms", "--field", "FIELD", "--norm", "y", "--n-time", "1"], _field_doc()),
     ("", None, ["field", "shell", "--N", "64", "--out", "OUT"], None),
+    ("", None, ["norms", "--field", "FIELD", "--norm", "lp", "--p", "0"], _field_doc()),
+    ("", None, ["norms", "--field", "FIELD", "--norm", "lp", "--p", "-2"], _field_doc()),
+    ("", None, ["field", "random", "--amplitude", "0", "--out", "OUT"], None),
+    ("", None, ["verify", "frac_product", "--trials", "0"], None),
+    ("", None, ["verify", "frac_product", "--trials", "1", "--slack", "-1"], None),
 ], ids=["seed_flag", "seed_env", "seed_config", "n_time", "bandlimit", "field_theta",
-        "field_nan", "p", "theta", "oversample", "norms_n_time", "field_N"])
+        "field_nan", "p", "theta", "oversample", "norms_n_time", "field_N", "lp_p_zero",
+        "lp_p_negative", "amplitude", "trials", "slack"])
 def test_cli_malformed_input_exits_2(tmp_path, monkeypatch, config, env_seed, argv, field):
     cfg = tmp_path / "run.config"
     cfg.write_text(f"output_dir = {tmp_path / 'out'}\n{config}\n", encoding="utf-8")

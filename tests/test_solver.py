@@ -6,7 +6,7 @@ from torus_nls.evolution import duhamel_operator, free_flow_path, propagate
 from torus_nls.lattice import SpectralField, TorusMetric
 from torus_nls.nonlinearity import PowerNonlinearity
 from torus_nls.norms import TimeGrid, sobolev_norm
-from torus_nls.solver import (energy, find_T, mass, picard_solve,
+from torus_nls.solver import (energy, find_T, march_solve, mass, picard_solve,
                               plane_wave_exact, splitstep_solve)
 
 METRIC = TorusMetric((1.0, np.sqrt(2.0), np.sqrt(3.0)))
@@ -163,19 +163,107 @@ def test_validation():
     with pytest.raises(ValueError):
         picard_solve(u0, nl, TimeGrid(1.0, 4), tol=0.0)
     with pytest.raises(ValueError):
+        march_solve(u0, nl, TimeGrid(1.0, 4), max_iter=0)
+    with pytest.raises(ValueError):
         splitstep_solve(u0, nl, 0.0, 4)
     with pytest.raises(ValueError):
         splitstep_solve(u0, nl, 0.1, 1)
 
 
+@pytest.mark.parametrize("theta", [(1.0, 1.0, 1.0), (1.0, np.sqrt(2.0), np.sqrt(3.0))])
+@pytest.mark.parametrize("p", [2.0, 2.5, 3.0])
+def test_march_residual_below_tol(theta, p):
+    nl = PowerNonlinearity(p)
+    metric = TorusMetric(theta)
+    f = random_field(2, seed=11)
+    u0 = SpectralField(metric, 2, (0.3 / sobolev_norm(f, nl.s_c)) * f.coeffs)
+    grid, tol = TimeGrid(0.25, 8), 1e-10
+    path = march_solve(u0, nl, grid, oversample=2, tol=tol)
+    assert np.array_equal(path.coeffs[0], u0.coeffs)
+    phi = duhamel_operator(path, u0, nl, oversample=2)
+    residual = max(sobolev_norm(phi.frame(k) - path.frame(k), nl.s_c) for k in range(grid.n))
+    assert residual <= tol
+    # the datum is large enough that the path is far from the free flow
+    free = free_flow_path(u0, grid)
+    assert sobolev_norm(path.frame(grid.n - 1) - free.frame(grid.n - 1), nl.s_c) > 1e3 * tol
+
+
+def test_march_start_agrees_with_free_flow_picard():
+    f = random_field(2, seed=9)
+    tol, converged = 1e-8, 0
+    for p in (2.0, 2.5, 3.0):
+        nl = PowerNonlinearity(p)
+        for hs, T in ((2.0, 0.5), (2.0, 0.125), (4.0, 0.125)):
+            u0 = (hs / sobolev_norm(f, nl.s_c)) * f
+            grid = TimeGrid(T, 16)
+            try:
+                ref, _ = picard_solve(u0, nl, grid, oversample=2, tol=tol, max_iter=20)
+            except NoConvergence:
+                continue
+            path, diag = picard_solve(u0, nl, grid, oversample=2, tol=tol, max_iter=20,
+                                      initial="march")
+            assert diag.converged and diag.residual <= tol
+            assert len(diag.march_iterations) == grid.n - 1
+            assert max(sobolev_norm(path.frame(k) - ref.frame(k), nl.s_c)
+                       for k in range(grid.n)) <= 10 * tol
+            converged += 1
+    assert converged == 7  # free-flow Picard fails at hs=4 for p=2.5 and p=3
+
+
+def test_march_plane_wave_stays_one_mode():
+    nl = PowerNonlinearity(2.5)
+    xi = (1, 0, -1)
+    u0 = SpectralField.delta(METRIC, 2, xi, 0.8 + 0.3j)
+    T, n = 0.2, 64
+    path = march_solve(u0, nl, TimeGrid(T, n), tol=1e-12)
+    idx = (slice(None),) + tuple(x + 2 for x in xi)
+    rest = path.coeffs.copy()
+    rest[idx] = 0
+    assert np.max(np.abs(rest)) <= 1e-12
+    exact = plane_wave_exact(u0, xi, nl, T * (n - 1) / n)
+    assert abs(path.coeffs[idx][-1] - exact.coefficient(xi)) < 1e-5
+
+
+def test_march_no_convergence_names_the_frame():
+    nl = PowerNonlinearity(2.0)
+    # the increments blow up at once
+    with pytest.raises(NoConvergence) as exc:
+        march_solve(50.0 * random_field(1, seed=2), nl, TimeGrid(0.25, 8), max_iter=8)
+    assert exc.value.frame == 1 and exc.value.iterations < 8
+    assert f"march stalled at frame 1 after {exc.value.iterations} of 8" in str(exc.value)
+    # the increments still shrink when the budget runs out
+    with pytest.raises(NoConvergence) as exc:
+        march_solve(2.0 * random_field(1, seed=8), nl, TimeGrid(2.0**-7, 16), tol=1e-8,
+                    max_iter=12)
+    assert exc.value.frame == 1 and exc.value.iterations == 12
+    assert 0 < exc.value.last_ratio < 1
+    assert "march stalled at frame 1 after 12 of 12 iterations" in str(exc.value)
+
+
+def test_picard_residual_guard():
+    # the march converges here, but Picard does not contract on this window
+    # and its one certifying step leaves the residual above tol
+    nl = PowerNonlinearity(2.0)
+    u0 = 2.0 * random_field(1, seed=8)
+    with pytest.raises(NoConvergence) as exc:
+        picard_solve(u0, nl, TimeGrid(2.0**-8, 16), tol=1e-8, max_iter=12, initial="march")
+    err = exc.value
+    assert err.residual > 1e-8 and err.frame is None and err.last_ratio > 1
+    assert f"residual {err.residual:.3g} above tol" in str(err)
+
+
 def test_find_T_halves_until_convergence():
     nl = PowerNonlinearity(2.0)
     u0 = 2.0 * random_field(1, seed=8)
-    T, path, diag = find_T(u0, nl, T0=1.0, n=16, tol=1e-8, max_iter=12)
-    assert diag.converged and T <= 1.0
-    # the datum converges at the returned T directly
-    p2, d2 = picard_solve(u0, nl, TimeGrid(T, 16), tol=1e-8, max_iter=12)
-    assert d2.converged
+    tol = 1e-8
+    T, path, diag = find_T(u0, nl, T0=1.0, n=16, tol=tol, max_iter=12)
+    assert diag.converged and diag.residual <= tol and T < 1.0
+    # the solve at the returned T is certified; the one at 2T raises
+    p2, d2 = picard_solve(u0, nl, TimeGrid(T, 16), tol=tol, max_iter=12, initial="march")
+    assert d2.converged and d2.residual <= tol
+    assert np.array_equal(p2.coeffs, path.coeffs)
+    with pytest.raises(NoConvergence):
+        picard_solve(u0, nl, TimeGrid(2 * T, 16), tol=tol, max_iter=12, initial="march")
 
 
 def test_find_T_failure_names_the_last_solve():
@@ -183,14 +271,14 @@ def test_find_T_failure_names_the_last_solve():
     u0 = 50.0 * random_field(1, seed=2)
     with pytest.raises(NoConvergence) as exc:
         find_T(u0, nl, T0=1.0, n=8, max_iter=8, max_halvings=3)
-    # solves at T = 1, 0.5, 0.25; the last bails out on divergence
+    # solves at T = 1, 0.5, 0.25; the last march stalls at its first frame
     with pytest.raises(NoConvergence) as last:
-        picard_solve(u0, nl, TimeGrid(0.25, 8), max_iter=8)
+        picard_solve(u0, nl, TimeGrid(0.25, 8), max_iter=8, initial="march")
     err = exc.value
     assert (err.T, err.halvings) == (0.25, 2)
-    assert (err.iterations, err.max_iter) == (last.value.iterations, 8)
+    assert (err.iterations, err.max_iter, err.frame) == (last.value.iterations, 8, 1)
     assert err.last_ratio == last.value.last_ratio and np.isfinite(err.last_ratio)
-    assert f"after {err.iterations} of 8 iterations" in str(err)
+    assert f"march stalled at frame 1 after {err.iterations} of 8 iterations" in str(err)
     assert "at T=0.25 after 2 halvings of T" in str(err)
     with pytest.raises(ValueError):
         find_T(u0, nl, max_halvings=0)
