@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
 from . import io as tio
 from .config import RunConfig, config_dict, load_config, save_config
 from .errors import (ConfigError, GuardExceeded, NoConvergence, NotFound,
@@ -92,6 +91,8 @@ def cmd_solve(args) -> int:
     frames_dir.mkdir(exist_ok=True)
     for k in range(path.grid.n):
         tio.save_field(path.frame(k), frames_dir / f"frame_{k:04d}.field.json")
+    import orjson  # loaded by save_field, which wrote the fields
+
     diagnostics = {
         "T": T,
         "iterations": diag.iterations,
@@ -105,7 +106,7 @@ def cmd_solve(args) -> int:
         "config": config_dict(cfg),
         # solve_s also counts the failed solves of find_T's halvings
         "timings": {**diag.timings, "solve_s": solve_s},
-        "provenance": {"torus_nls": __version__, "numpy": np.__version__},
+        "provenance": {**tio.provenance(), "orjson": orjson.__version__},
     }
     (outdir / "diagnostics.json").write_text(json.dumps(diagnostics, indent=2), encoding="utf-8")
     print(f"solved to T={T}: march {sum(diag.march_iterations)} iterations over "

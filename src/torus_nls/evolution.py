@@ -59,12 +59,21 @@ def duhamel_operator(
     u0: SpectralField,
     nl: PowerNonlinearity | None,
     oversample: int = 4,
+    forcing: SpaceTimePath | None = None,
 ) -> SpaceTimePath:
-    """Phi(u)(t_k) = e^{it_k Delta}u0 - i int_0^{t_k} e^{i(t_k-s)Delta} F(u(s)) ds."""
+    """Phi(u)(t_k) = e^{it_k Delta}u0 - i int_0^{t_k} e^{i(t_k-s)Delta} F(u(s)) ds.
+
+    forcing, when given, is the path F(u) already evaluated with this nl and
+    oversample (the march has it for the path it returns); the call then
+    skips its own apply_F pass over the frames.
+    """
     free = free_flow_path(u0, u.grid)
     if nl is None:
         return free
-    forcing = u.map_frames(lambda f: apply_F(f, nl, oversample))
+    if forcing is None:
+        forcing = u.map_frames(lambda f: apply_F(f, nl, oversample))
+    else:
+        u._check_same_grid(forcing)
     partials = _duhamel_partials(forcing)
     return SpaceTimePath(u.grid, u.metric, u.bandlimit, free.coeffs - 1j * partials)
 

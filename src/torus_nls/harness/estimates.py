@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from ..errors import DegenerateSeries, GuardExceeded, NotFound
+from ..io import provenance
 from ..lattice import TorusMetric
 from ..norms import TimeGrid
 from .samplers import SamplerSpec
@@ -104,6 +105,7 @@ class ExperimentReport:
             "verdict": self.verdict,
             "flags": list(self.flags),
             "environment": self.environment,
+            "provenance": provenance(),
         }
 
 

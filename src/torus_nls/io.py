@@ -1,8 +1,9 @@
 """Persistence: .field.json spectral fields, report JSON/CSV pairs.
 
-Fields are stored as explicit (re, im) pairs in row-major lattice order;
-Python's float serialization is the shortest round-tripping representation,
-so save/load is bit-exact.
+Fields are stored as explicit (re, im) pairs in row-major lattice order.
+The writer is orjson, whose float text is the shortest representation that
+round-trips; the reader stays the stdlib json module, so save/load is
+bit-exact and files written by json.dumps load unchanged.
 """
 
 from __future__ import annotations
@@ -13,20 +14,28 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .errors import ConfigError
 from .lattice import SpectralField, TorusMetric
 
 
+def provenance() -> dict:
+    """Versions of the code that made an artifact."""
+    return {"torus_nls": __version__, "numpy": np.__version__}
+
+
 def save_field(field: SpectralField, path) -> None:
+    import orjson  # deferred: only commands that write fields pay for the import
+
     doc = {
         "metric": {
             "theta": list(field.metric.theta),
             "laplace_scale": field.metric.laplace_scale,
         },
         "bandlimit": field.bandlimit,
-        "coeffs": field.coeffs.view(np.float64).reshape(-1, 2).tolist(),
+        "coeffs": field.coeffs.view(np.float64).reshape(-1, 2),
     }
-    Path(path).write_text(json.dumps(doc), encoding="utf-8")
+    Path(path).write_bytes(orjson.dumps(doc, option=orjson.OPT_SERIALIZE_NUMPY))
 
 
 def load_field(path) -> SpectralField:
@@ -44,7 +53,7 @@ def load_field(path) -> SpectralField:
         raise ConfigError(
             f"field file {path}: expected {nn**3} coefficient pairs, got {pairs.shape}"
         )
-    coeffs = (pairs[:, 0] + 1j * pairs[:, 1]).reshape(nn, nn, nn)
+    coeffs = pairs.view(np.complex128).reshape(nn, nn, nn)  # keeps signed zeros
     try:  # a non-positive theta or a non-finite coefficient
         metric = TorusMetric(tuple(doc["metric"]["theta"]), doc["metric"]["laplace_scale"])
         return SpectralField(metric, M, coeffs)

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridTooSmall, NegativePowerAtZeroMode
+from .errors import GridTooSmall, InvalidLebesgueExponent, NegativePowerAtZeroMode
 
 DEFAULT_LAPLACE_SCALE = 4.0 * np.pi**2
 
@@ -175,6 +175,8 @@ class GridField:
         return float(np.sqrt(np.mean(np.abs(self.samples) ** 2)))
 
     def lp_norm(self, p: float) -> float:
+        if not p >= 1:  # also rejects NaN
+            raise InvalidLebesgueExponent(f"Lebesgue exponent must be >= 1, got {p}")
         a = np.abs(self.samples)
         if np.isinf(p):
             return float(a.max())

@@ -155,7 +155,7 @@ def sobolev_norm(field_: SpectralField, s: float) -> float:
 
 def spacetime_lp(path: SpaceTimePath, p_t: float, p_x: float, oversample: int = 2) -> float:
     """L^{p_t}_t L^{p_x}_x norm: left-endpoint Riemann sum in t, grid quadrature in x."""
-    if p_t < 1 or p_x < 1:
+    if not (p_t >= 1 and p_x >= 1):  # also rejects NaN
         raise ValueError("Lebesgue exponents must be >= 1")
     per_t = np.array([to_grid(path.frame(k), oversample).lp_norm(p_x)
                       for k in range(path.grid.n)])

@@ -56,8 +56,10 @@ def _path_distance(a: SpaceTimePath, b: SpaceTimePath, s: float) -> float:
     )
 
 
-def _march(u0, nl, grid, oversample, tol, max_iter) -> tuple[SpaceTimePath, tuple[int, ...]]:
-    """march_solve, also returning the fixed-point iterations of each frame."""
+def _march(u0, nl, grid, oversample, tol, max_iter
+           ) -> tuple[SpaceTimePath, tuple[int, ...], SpaceTimePath]:
+    """march_solve, also returning the fixed-point iterations of each frame
+    and the forcing path F(u) of the frames it kept."""
     if tol <= 0 or max_iter < 1:
         raise ValueError("need tol > 0 and max_iter >= 1")
     s = nl.s_c
@@ -68,9 +70,11 @@ def _march(u0, nl, grid, oversample, tol, max_iter) -> tuple[SpaceTimePath, tupl
     frame_tol = tol / (grid.n - 1)
     coeffs = np.empty((grid.n,) + u0.coeffs.shape, dtype=np.complex128)
     coeffs[0] = u0.coeffs
-    F_prev = apply_F(u0, nl, oversample).coeffs
+    forcing = np.empty_like(coeffs)
+    forcing[0] = apply_F(u0, nl, oversample).coeffs
     iterations = []
     for k in range(1, grid.n):
+        F_prev = forcing[k - 1]
         a = E * (coeffs[k - 1] - half * F_prev)
         v = a - half * E * F_prev  # Lawson-Euler guess: F(u_k) ~ E F(u_{k-1})
         last = np.inf
@@ -86,9 +90,10 @@ def _march(u0, nl, grid, oversample, tol, max_iter) -> tuple[SpaceTimePath, tupl
             last, v = d, nxt
         else:
             raise NoConvergence(max_iter, ratio, frame=k)
-        coeffs[k], F_prev = v, F_v
+        coeffs[k], forcing[k] = v, F_v
         iterations.append(it)
-    return SpaceTimePath(grid, u0.metric, u0.bandlimit, coeffs), tuple(iterations)
+    return (SpaceTimePath(grid, u0.metric, u0.bandlimit, coeffs), tuple(iterations),
+            SpaceTimePath(grid, u0.metric, u0.bandlimit, forcing))
 
 
 def march_solve(
@@ -124,22 +129,24 @@ def picard_solve(
 
     initial="march" starts from march_solve (same oversample, tol and
     max_iter), so the iteration certifies the marched path; its per-frame
-    iterations go into the diagnostics.  initial="zero" starts from the zero
-    path -- useful as a uniqueness probe (both seeds must land on the same
-    fixed point).  Raises NoConvergence when the iterates diverge, when
-    max_iter iterations do not reach tol, or when the final residual
-    ||Phi(u*) - u*|| is above tol.
+    iterations go into the diagnostics, and the F the march computed for
+    each kept frame is the forcing of the first Duhamel call, so that call
+    evaluates no F.  initial="zero" starts from the zero path -- useful as a
+    uniqueness probe (both seeds must land on the same fixed point).  Raises
+    NoConvergence when the iterates diverge, when max_iter iterations do not
+    reach tol, or when the final residual ||Phi(u*) - u*|| is above tol.
     """
     if tol <= 0 or max_iter < 1:
         raise ValueError("need tol > 0 and max_iter >= 1")
     s = nl.s_c
     march_iterations: tuple[int, ...] = ()
     march_s = 0.0
+    forcing = None  # F(u) of the current iterate, when already known
     if initial == "free_flow":
         u = free_flow_path(u0, grid)
     elif initial == "march":
         t0 = time.perf_counter()
-        u, march_iterations = _march(u0, nl, grid, oversample, tol, max_iter)
+        u, march_iterations, forcing = _march(u0, nl, grid, oversample, tol, max_iter)
         march_s = time.perf_counter() - t0
     elif initial == "zero":
         zero = SpectralField.zero(u0.metric, u0.bandlimit)
@@ -149,7 +156,8 @@ def picard_solve(
     t0 = time.perf_counter()
     distances: list[float] = []
     for _ in range(max_iter):
-        nxt = duhamel_operator(u, u0, nl, oversample)
+        nxt = duhamel_operator(u, u0, nl, oversample, forcing)
+        forcing = None
         d = _path_distance(nxt, u, s)
         distances.append(d)
         u = nxt

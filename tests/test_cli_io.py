@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import torus_nls
 from torus_nls.cli import cli_main
 from torus_nls.config import (RunConfig, config_dict, load_config,
                               parse_config_text, save_config)
@@ -53,13 +58,60 @@ def test_config_comments_and_defaults():
 
 # ------------------------------------------------------------------ field io
 
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+               -1.7976931348623157e308, 1e-5, 1e16, 0.1, 1.0 / 3.0]
+
+
+def edge_field(M=2, seed=1):
+    """Random finite bit patterns in every float slot, edge values up front."""
+    nn = 2 * M + 1
+    bits = np.random.default_rng(seed).integers(0, 2**64, size=2 * nn**3, dtype=np.uint64)
+    floats = bits.view(np.float64).copy()
+    floats[~np.isfinite(floats)] = 1.5
+    floats[:len(EDGE_FLOATS)] = EDGE_FLOATS
+    return SpectralField(METRIC, M, floats.view(np.complex128).reshape((nn,) * 3))
+
+
 def test_field_round_trip_bit_exact(tmp_path):
-    f = random_field(2, seed=1)
+    f = edge_field(2, seed=1)
     path = tmp_path / "u.field.json"
     save_field(f, path)
     g = load_field(path)
-    assert np.array_equal(g.coeffs, f.coeffs)
+    assert np.array_equal(g.coeffs.view(np.uint64), f.coeffs.view(np.uint64))
     assert g.metric == f.metric and g.bandlimit == f.bandlimit
+
+
+def test_field_written_by_json_dumps_still_loads(tmp_path):
+    # the text form of earlier releases: json.dumps of [re, im] lists
+    f = edge_field(2, seed=2)
+    doc = {"metric": {"theta": list(f.metric.theta), "laplace_scale": f.metric.laplace_scale},
+           "bandlimit": f.bandlimit,
+           "coeffs": f.coeffs.view(np.float64).reshape(-1, 2).tolist()}
+    path = tmp_path / "old.field.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    g = load_field(path)
+    assert np.array_equal(g.coeffs.view(np.uint64), f.coeffs.view(np.uint64))
+    assert g.metric == f.metric
+
+
+def test_only_field_writers_load_orjson(tmp_path):
+    cfg = _write_cfg(tmp_path)
+    code = (
+        "import sys, torus_nls.cli\n"
+        "loaded = ['orjson' in sys.modules]\n"
+        f"torus_nls.cli.cli_main(['--config', {str(cfg)!r}, 'verify', 'embedding_checks',"
+        " '--trials', '1'])\n"
+        "loaded.append('orjson' in sys.modules)\n"
+        f"torus_nls.cli.cli_main(['field', 'random', '--out', {str(tmp_path / 'u.field.json')!r}])\n"
+        "loaded.append('orjson' in sys.modules)\n"
+        "print(loaded)\n"
+    )
+    src = str(Path(torus_nls.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True, timeout=120)
+    assert done.stdout.strip().splitlines()[-1] == "[False, False, True]"
 
 
 def test_field_load_errors(tmp_path):
@@ -94,6 +146,7 @@ def test_write_report_and_summarize(tmp_path):
     doc = json.loads(jpath.read_text(encoding="utf-8"))
     assert doc["preset"] == "embedding_checks"
     assert doc["verdict"] in ("pass", "fail", "inconclusive")
+    assert doc["provenance"] == {"torus_nls": torus_nls.__version__, "numpy": np.__version__}
     rows = summarize_reports(tmp_path)
     assert len(rows) == len(report.ratios)
     out = tmp_path / "summary.csv"
@@ -131,6 +184,7 @@ def test_cli_solve(tmp_path):
     assert (outdir / "run.config").exists()
     diag = json.loads((outdir / "diagnostics.json").read_text(encoding="utf-8"))
     assert diag["iterations"] >= 1
+    assert set(diag["provenance"]) == {"torus_nls", "numpy", "orjson"}
     frames = sorted((outdir / "frames").glob("frame_*.field.json"))
     assert len(frames) == 8
 

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from torus_nls.evolution import (duhamel_integral, duhamel_operator,
-                                 free_flow_path, one_mode_duhamel_exact,
-                                 propagate)
+from torus_nls.evolution import (_duhamel_partials, duhamel_integral,
+                                 duhamel_operator, free_flow_path,
+                                 one_mode_duhamel_exact, propagate)
 from torus_nls.lattice import SpectralField, TorusMetric, q_form
 from torus_nls.nonlinearity import PowerNonlinearity, apply_F
 from torus_nls.norms import SpaceTimePath, TimeGrid, sobolev_norm
@@ -132,6 +134,24 @@ def test_duhamel_operator_against_direct_quadrature():
     want = (propagate(u0, grid.times[k]).coeffs
             - 1j * duhamel_integral(forcing, k).coeffs)
     assert np.max(np.abs(out.frame(k).coeffs - want)) < 1e-12
+    # a forcing handed in is the one the call would have evaluated
+    assert np.array_equal(duhamel_operator(u, u0, nl, forcing=forcing).coeffs, out.coeffs)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0), st.integers(0, 10**6))
+def test_duhamel_partials_linear(a, b, seed):
+    rng = np.random.default_rng(seed)
+    grid = TimeGrid(0.3, 6)
+
+    def path(c):
+        return SpaceTimePath(grid, METRIC, 1, c)
+
+    F, G = (rng.standard_normal((2, 6, 3, 3, 3)) + 1j * rng.standard_normal((2, 6, 3, 3, 3)))
+    IF, IG = _duhamel_partials(path(F)), _duhamel_partials(path(G))
+    lhs = _duhamel_partials(path(a * F + b * G))
+    scale = abs(a) * np.max(np.abs(IF)) + abs(b) * np.max(np.abs(IG))
+    assert np.max(np.abs(lhs - (a * IF + b * IG))) <= 1e-12 * scale
 
 
 def test_one_mode_exact_zero_frequency():

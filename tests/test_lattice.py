@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torus_nls.errors import GridTooSmall, NegativePowerAtZeroMode
+from torus_nls.errors import GridTooSmall, InvalidLebesgueExponent, NegativePowerAtZeroMode
 from torus_nls.lattice import (DEFAULT_LAPLACE_SCALE, GridField, SpectralField,
                                TorusMetric, fractional_multiplier,
                                gradient_fields, lattice_points, q_form, q_grid,
@@ -174,3 +174,12 @@ def test_lp_norms():
     ones = GridField(METRIC, np.ones((6, 6, 6), dtype=complex))
     for p in (1.0, 2.0, 4.0, np.inf):
         assert ones.lp_norm(p) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("p", [0.0, -2.0, 0.5, np.nan])
+def test_lp_norm_rejects_exponents_below_one(p):
+    # a grid with zeros: p < 0 would give 0 and p = 0 divide by zero
+    half = GridField(METRIC, np.r_[np.ones(108), np.zeros(108)].reshape(6, 6, 6))
+    with pytest.raises(InvalidLebesgueExponent):
+        half.lp_norm(p)
+    assert half.lp_norm(np.inf) == 1.0

@@ -224,8 +224,9 @@ def test_spacetime_lp():
     path = SpaceTimePath(TimeGrid(2.0, 4), METRIC, 1, ones)
     assert spacetime_lp(path, 2.0, 6.0) == pytest.approx(np.sqrt(2.0))
     assert spacetime_lp(path, np.inf, 2.0) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        spacetime_lp(path, 0.5, 2.0)
+    for p_t, p_x in ((0.5, 2.0), (np.nan, 2.0), (2.0, np.nan)):
+        with pytest.raises(ValueError):
+            spacetime_lp(path, p_t, p_x)
 
 
 def test_duality_pairing():

@@ -4,7 +4,7 @@ import pytest
 from torus_nls.errors import NoConvergence
 from torus_nls.evolution import duhamel_operator, free_flow_path, propagate
 from torus_nls.lattice import SpectralField, TorusMetric
-from torus_nls.nonlinearity import PowerNonlinearity
+from torus_nls.nonlinearity import PowerNonlinearity, apply_F
 from torus_nls.norms import TimeGrid, sobolev_norm
 from torus_nls.solver import (energy, find_T, march_solve, mass, picard_solve,
                               plane_wave_exact, splitstep_solve)
@@ -208,6 +208,39 @@ def test_march_start_agrees_with_free_flow_picard():
                        for k in range(grid.n)) <= 10 * tol
             converged += 1
     assert converged == 7  # free-flow Picard fails at hs=4 for p=2.5 and p=3
+
+
+def test_march_forcing_certifies_bit_for_bit():
+    import torus_nls.evolution as evolution
+    import torus_nls.solver as solver
+
+    nl = PowerNonlinearity(2.5)
+    grid = TimeGrid(0.125, 16)
+    u0 = small_datum(2, seed=9, hs=2.0, s=nl.s_c)
+
+    def solve(recompute):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return apply_F(*args, **kwargs)
+
+        def recomputing(u, u0, nl, oversample, forcing=None):
+            return duhamel_operator(u, u0, nl, oversample)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "apply_F", counted)
+            mp.setattr(evolution, "apply_F", counted)
+            if recompute:
+                mp.setattr(solver, "duhamel_operator", recomputing)
+            path, diag = picard_solve(u0, nl, grid, oversample=2, tol=1e-8, initial="march")
+        return path, diag, len(calls)
+
+    path, diag, calls = solve(recompute=False)
+    ref, ref_diag, ref_calls = solve(recompute=True)
+    assert np.array_equal(path.coeffs, ref.coeffs)
+    assert diag.distances == ref_diag.distances and diag.residual == ref_diag.residual
+    assert calls == ref_calls - grid.n
 
 
 def test_march_plane_wave_stays_one_mode():
