@@ -57,7 +57,7 @@ def duhamel_integral(forcing: SpaceTimePath, t_index: int) -> SpectralField:
 def duhamel_operator(
     u: SpaceTimePath,
     u0: SpectralField,
-    nl: PowerNonlinearity | None,
+    nl: PowerNonlinearity,
     oversample: int = 4,
     forcing: SpaceTimePath | None = None,
 ) -> SpaceTimePath:
@@ -68,8 +68,6 @@ def duhamel_operator(
     skips its own apply_F pass over the frames.
     """
     free = free_flow_path(u0, u.grid)
-    if nl is None:
-        return free
     if forcing is None:
         forcing = u.map_frames(lambda f: apply_F(f, nl, oversample))
     else:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from ..errors import DegenerateSeries, GuardExceeded, NotFound
+from ..errors import DegenerateSeries, GuardExceeded
 from ..io import provenance
 from ..lattice import TorusMetric
 from ..norms import TimeGrid
@@ -160,22 +160,21 @@ def run_estimate(spec: EstimateSpec, env: RunEnvironment | None = None, evaluato
     """Run all trials of one estimate and produce the report.
 
     ``evaluator(spec, env, N, rng) -> (lhs, rhs)`` computes one draw; when
-    omitted it is resolved from the preset registry by spec.name.  Per-trial
-    RNG streams are seeded with seed XOR trial_index, so results are
-    deterministic and independent of execution order.
+    omitted it is resolved from the preset registry by spec.name.  Trial t
+    draws from the stream SeedSequence([seed, t]), so results are
+    deterministic, independent of execution order, and no two (seed, trial)
+    pairs share a stream.
     """
     env = env or RunEnvironment()
     if evaluator is None:
         from .presets import get_evaluator
 
         evaluator = get_evaluator(spec.name)
-        if evaluator is None:
-            raise NotFound(f"no evaluator registered for {spec.name!r}")
 
     records = []
     per_n_max: dict[int, float] = {n: 0.0 for n in spec.dyadic_range}
     for trial in range(spec.trials):
-        rng = np.random.default_rng(spec.seed ^ trial)
+        rng = np.random.default_rng(np.random.SeedSequence([spec.seed, trial]))
         for N in spec.dyadic_range:
             lhs, rhs = evaluator(spec, env, N, rng)
             ratio = lhs / rhs if rhs > 0 else 0.0

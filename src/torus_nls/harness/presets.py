@@ -17,7 +17,8 @@ from ..errors import NotFound
 from ..lattice import (GridField, SpectralField, fractional_multiplier,
                        gradient_fields, to_grid, to_spectral)
 from ..littlewood_paley import project_dyadic, project_leq
-from ..nonlinearity import PowerNonlinearity, bony_tail, evaluate_F, s_critical, wirtinger
+from ..nonlinearity import (PowerNonlinearity, bony_tail, evaluate_F, s_critical,
+                           wirtinger_orders)
 from ..norms import SpaceTimePath, TimeGrid, sobolev_norm, spacetime_lp, y_norm
 from .estimates import EstimateSpec, RunEnvironment
 from .samplers import SamplerSpec, random_field, sample_path
@@ -35,10 +36,6 @@ def _sample(spec, env, N, rng, M, grid, **over) -> SpaceTimePath:
 def _field(spec, env, N, rng, M, **over) -> SpectralField:
     s = replace(spec.sampler, **over) if over else spec.sampler
     return random_field(s, env.metric, M, N, rng)
-
-
-def _grid_lp(samples: np.ndarray, r: float) -> float:
-    return float(np.mean(np.abs(samples) ** r) ** (1.0 / r))
 
 
 def _static(field: SpectralField, grid: TimeGrid) -> SpaceTimePath:
@@ -76,10 +73,8 @@ def _bilinear_evaluator(spec, env, N, rng):
         u = _sample(spec, env, n1, rng, M, grid)
         v = _sample(spec, env, N, rng, M, grid)
         acc = 0.0
-        for k in range(grid.n):
-            gu = to_grid(u.frame(k), env.oversample).samples
-            gv = to_grid(v.frame(k), env.oversample).samples
-            acc += grid.dt * np.mean(np.abs(gu * gv) ** 2)
+        for gu, gv in zip(u.grid_frames(env.oversample), v.grid_frames(env.oversample)):
+            acc += grid.dt * np.mean(np.abs(gu.samples * gv.samples) ** 2)
         lhs = float(np.sqrt(acc))
         rhs = y_norm(u, 0.0) * y_norm(v, 0.0)
         if rhs > 0:
@@ -110,13 +105,11 @@ def _gradient_family_evaluator(spec, env, N, rng):
     # (operator, Lebesgue exponent, expected power of N)
     members = [("grad", r_a, 0.5), ("grad", r_b, 0.75), ("laplace", r_a, 1.5)]
     acc = {i: 0.0 for i in range(len(members))}
-    for k in range(grid.n):
-        f = path.frame(k)
-        gmag = np.sqrt(
-            sum(np.abs(to_grid(g, env.oversample).samples) ** 2 for g in gradient_fields(f))
-        )
-        lap = fractional_multiplier(f, 2.0, "homogeneous")
-        lmag = np.abs(to_grid(lap, env.oversample).samples) * f.metric.laplace_scale
+    derived = [path.map_frames(lambda f, i=i: gradient_fields(f)[i]) for i in range(3)]
+    derived.append(path.map_frames(lambda f: fractional_multiplier(f, 2.0, "homogeneous")))
+    for *grads, lap in zip(*(d.grid_frames(env.oversample) for d in derived)):
+        gmag = np.sqrt(sum(np.abs(g.samples) ** 2 for g in grads))
+        lmag = np.abs(lap.samples) * path.metric.laplace_scale
         for i, (op, r, _) in enumerate(members):
             mag = gmag if op == "grad" else lmag
             acc[i] += grid.dt * np.mean(mag**r)
@@ -158,8 +151,9 @@ def _frac_chain_evaluator(spec, env, N, rng):
     gu = to_grid(u, 4).samples
     F_trunc = to_spectral(GridField(u.metric, evaluate_F(gu, nl)), 2 * M)
     lhs = sobolev_norm(F_trunc, s)
-    dmag = np.abs(wirtinger(gu, nl, (1, 0))) + np.abs(wirtinger(gu, nl, (0, 1)))
-    rhs = _grid_lp(dmag, 3.0) * to_grid(fractional_multiplier(u, s), 2).lp_norm(6.0)
+    d_z, d_zbar = wirtinger_orders(gu, nl, ((1, 0), (0, 1)))
+    dmag = GridField(u.metric, np.abs(d_z) + np.abs(d_zbar))
+    rhs = dmag.lp_norm(3.0) * to_grid(fractional_multiplier(u, s), 2).lp_norm(6.0)
     return lhs, rhs
 
 
@@ -176,7 +170,7 @@ def _bernstein_evaluator(spec, env, N, rng):
     gmag = np.sqrt(
         sum(np.abs(to_grid(g, 2).samples) ** 2 for g in gradient_fields(u))
     )
-    rhs = _grid_lp(gmag, p) ** alpha
+    rhs = GridField(u.metric, gmag).lp_norm(p) ** alpha
     return lhs, rhs
 
 

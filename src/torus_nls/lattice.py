@@ -254,7 +254,7 @@ def to_grid(field_: SpectralField, oversample: int = 1) -> GridField:
     return GridField(field_.metric, samples)
 
 
-def to_spectral(grid: GridField, bandlimit: int, metric: TorusMetric | None = None) -> SpectralField:
+def to_spectral(grid: GridField, bandlimit: int) -> SpectralField:
     """Truncate the grid field to bandlimit M (inverse of to_grid on bandlimited data)."""
     n = grid.n
     if n < 2 * bandlimit + 1:
@@ -266,4 +266,4 @@ def to_spectral(grid: GridField, bandlimit: int, metric: TorusMetric | None = No
     spec = np.fft.fft(spec, axis=1).take(idx, axis=1)
     spec = np.fft.fft(spec, axis=0).take(idx, axis=0)
     spec /= n**3
-    return SpectralField(metric or grid.metric, bandlimit, spec)
+    return SpectralField(grid.metric, bandlimit, spec)

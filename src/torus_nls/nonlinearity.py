@@ -7,22 +7,27 @@ so the value collapses to
 
     |z|^{p+1-a-b} * sum_j c_j * (z/|z|)^{e_j}
 
-with integer phase powers e_j.  The closed forms are the production path;
-finite differences exist only as test oracles.
+with integer phase powers e_j.  wirtinger_orders evaluates several orders
+from one |z|, zero mask and phase z/|z|; wirtinger is its one-order case.
+Finite differences exist only as test oracles.
 
 The fundamental-theorem-of-calculus linearizations
 
     F(u+w) - F(u) = w int_0^1 dF/dz(u+tw) dt + wbar int_0^1 dF/dzbar(u+tw) dt
 
-are evaluated with composite Gauss-Legendre quadrature, with panels graded
-toward the point where |u + tw| is smallest (the integrand loses smoothness
-only where the argument crosses zero).
+use one rule, built only by _graded_nodes: composite Gauss-Legendre with
+panels graded toward the point where |u + t w| is smallest (the integrand
+loses smoothness only where the argument crosses zero).  _ftc_integrals
+walks its nodes once for all the orders it is given: (1,0) and (0,1) for
+first-order terms, (2,0), (1,1) and (0,2) for the inner integrals of the
+second-order expansion, whose outer rule is the same graded rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, pairwise
 
 import numpy as np
 
@@ -79,8 +84,11 @@ def _wirtinger_terms(p: float, a: int, b: int) -> tuple[tuple[float, int], ...]:
     """Monomial expansion of d^a/dz^a d^b/dzbar^b of |z|^p z.
 
     Returns ((coeff, phase_power), ...) so that the derivative equals
-    |z|^{p+1-a-b} * sum coeff * (z/|z|)^{phase_power}.
+    |z|^{p+1-a-b} * sum coeff * (z/|z|)^{phase_power}.  Raises
+    UndefinedDerivative for an order validate_order rejects (errors are not
+    cached, so every call with such an order raises).
     """
+    validate_order(p, (a, b))
     # terms: {(k, j, m): coeff} meaning coeff * |z|^{p+k} z^j zbar^m
     terms = {(0, 1, 0): 1.0}
 
@@ -120,32 +128,45 @@ def _wirtinger_terms(p: float, a: int, b: int) -> tuple[tuple[float, int], ...]:
     return tuple(sorted((c, e) for e, c in collapsed.items() if c != 0.0))
 
 
+def wirtinger_orders(z, nl: PowerNonlinearity, orders) -> list[np.ndarray]:
+    """Closed-form Wirtinger derivatives of F of each order (a, b) in
+    ``orders`` at the points of the array z, one array of z's shape per order.
+
+    |z|, its zero mask and the phase z/|z| are taken once for all orders, and
+    |z|^{p+1-a-b} once for each distinct a+b.
+    """
+    terms = [_wirtinger_terms(nl.p, *order) for order in orders]
+    z = np.asarray(z, dtype=np.complex128)
+    r = np.abs(z)
+    zero = r == 0
+    nonzero = ~zero
+    rs = r[nonzero]
+    phase = z[nonzero] / rs
+    radial = {}
+    outs = []
+    for (a, b), order_terms in zip(orders, terms):
+        power = nl.p + 1 - a - b
+        if power <= 0 and np.any(zero):
+            raise DomainError(
+                f"derivative of order {(a, b)} at z = 0 has non-positive power {power:.3g}"
+            )
+        if power not in radial:
+            radial[power] = nl.sign * rs**power
+        acc = np.zeros_like(phase)
+        for c, e in order_terms:
+            acc += c * phase**e
+        acc *= radial[power]
+        out = np.zeros_like(z)
+        out[nonzero] = acc
+        outs.append(out)
+    return outs
+
+
 def wirtinger(z, nl: PowerNonlinearity, order: tuple[int, int] = (0, 0)):
     """Closed-form Wirtinger derivative of F at z (scalar or array)."""
-    a, b = validate_order(nl.p, order)
-    terms = _wirtinger_terms(nl.p, a, b)
     z_arr = np.asarray(z, dtype=np.complex128)
-    scalar = z_arr.ndim == 0
-    z_arr = np.atleast_1d(z_arr)
-
-    power = nl.p + 1 - a - b
-    r = np.abs(z_arr)
-    zero = r == 0
-    if np.any(zero) and power <= 0:
-        raise DomainError(
-            f"derivative of order {order} at z = 0 has non-positive power {power:.3g}"
-        )
-    out = np.zeros_like(z_arr)
-    if np.any(~zero):
-        rs = r[~zero]
-        phase = z_arr[~zero] / rs
-        acc = np.zeros_like(phase)
-        for c, e in terms:
-            acc += c * phase**e
-        out[~zero] = nl.sign * rs**power * acc
-    if scalar:
-        return complex(out[0])
-    return out
+    (out,) = wirtinger_orders(np.atleast_1d(z_arr), nl, (order,))
+    return complex(out[0]) if z_arr.ndim == 0 else out
 
 
 def evaluate_F(z, nl: PowerNonlinearity):
@@ -192,8 +213,7 @@ def bony_tail(
         raise InvalidLebesgueExponent(f"q must lie in [1, 3/2), got {q}")
     full = to_grid(field, oversample).samples
     low = to_grid(project_leq(field, N, profile), oversample).samples
-    diff = evaluate_F(full, nl) - evaluate_F(low, nl)
-    return float(np.mean(np.abs(diff) ** q) ** (1.0 / q))
+    return GridField(field.metric, evaluate_F(full, nl) - evaluate_F(low, nl)).lp_norm(q)
 
 
 # ---------------------------------------------------------------------------
@@ -206,27 +226,30 @@ def _gauss_legendre_01(K: int):
     return (x + 1.0) / 2.0, w / 2.0
 
 
-@lru_cache(maxsize=None)
-def _graded_fractions(levels: int = 4, ratio: float = 0.25) -> np.ndarray:
-    """Panel boundary fractions in [0, 1] graded geometrically toward 1/2...
-
-    Returned as fractions f so that per-point boundaries are
-    c * f (left block) and c + (1-c) * f' (right block); see _panel_bounds.
+def _graded_nodes(c: np.ndarray, K: int):
+    """The graded rule on [0, 1], per point: composite K-point Gauss-Legendre
+    on ten panels whose widths shrink geometrically (ratio 1/4) toward c,
+    clipped into [1e-3, 1 - 1e-3].  Yields node and weight rows (t, weight),
+    panel by panel and node by node; rows and panel edges are made only as
+    they are reached, so a pass over many points holds one row at a time.
     """
-    left = [0.0] + [1.0 - ratio**l for l in range(1, levels + 1)] + [1.0]
-    return np.asarray(left)
+    c = np.clip(c, 1e-3, 1.0 - 1e-3)
+    f = [0.0] + [1.0 - 0.25**l for l in range(1, 5)] + [1.0]
+    edges = chain((c * x for x in f), (c + (1.0 - c) * (1.0 - x) for x in f[-2::-1]))
+    nodes, weights = _gauss_legendre_01(K)
+    for a, b in pairwise(edges):
+        length = b - a
+        for x, gw in zip(nodes, weights):
+            yield a + length * x, gw * length
 
 
-def _panel_bounds(c: np.ndarray, levels: int = 4) -> np.ndarray:
-    """Per-point panel boundaries on [0, 1], graded toward c. Shape (2*levels+3, n)."""
-    f = _graded_fractions(levels)            # length levels+2, from 0 to 1
-    left = c[None, :] * f[:, None]           # 0 ... c
-    right = c[None, :] + (1.0 - c[None, :]) * (1.0 - f[::-1][:, None])  # c ... 1
-    return np.concatenate([left, right[1:]], axis=0)
+_FIRST_ORDERS = ((1, 0), (0, 1))
+_SECOND_ORDERS = ((2, 0), (1, 1), (0, 2))
 
 
-def _integrate_unit_interval(fn, u: np.ndarray, w: np.ndarray, K: int, levels: int = 4):
-    """int_0^1 fn(u + t w) dt, elementwise over flat complex arrays u, w.
+def _ftc_integrals(u: np.ndarray, w: np.ndarray, nl: PowerNonlinearity, orders, K: int):
+    """int_0^1 d^a_z d^b_zbar F(u + t w) dt for each (a, b) in orders,
+    elementwise over flat complex arrays u, w, in one pass over the nodes.
 
     Panels are graded toward the in-segment minimizer of |u + t w| so the
     quadrature stays accurate when the segment passes near the origin.
@@ -235,24 +258,11 @@ def _integrate_unit_interval(fn, u: np.ndarray, w: np.ndarray, K: int, levels: i
     c = np.full(u.shape, 0.5)
     nz = wsq > 0
     c[nz] = -np.real(np.conj(u[nz]) * w[nz]) / wsq[nz]
-    c = np.clip(c, 1e-3, 1.0 - 1e-3)
-
-    bounds = _panel_bounds(c, levels)        # (P+1, n)
-    nodes, weights = _gauss_legendre_01(K)
-    acc = np.zeros(u.shape, dtype=np.complex128)
-    for i in range(bounds.shape[0] - 1):
-        a, b = bounds[i], bounds[i + 1]
-        length = b - a
-        for x, gw in zip(nodes, weights):
-            t = a + length * x
-            acc += gw * length * fn(u + t * w)
-    return acc
-
-
-def _ftc_pair(u: np.ndarray, w: np.ndarray, nl: PowerNonlinearity, K: int):
-    """(int_0^1 dF/dz(u + t w) dt, int_0^1 dF/dzbar(u + t w) dt) over flat arrays."""
-    return (_integrate_unit_interval(lambda z: wirtinger(z, nl, (1, 0)), u, w, K),
-            _integrate_unit_interval(lambda z: wirtinger(z, nl, (0, 1)), u, w, K))
+    accs = [np.zeros(u.shape, dtype=np.complex128) for _ in orders]
+    for t, weight in _graded_nodes(c, K):
+        for acc, d in zip(accs, wirtinger_orders(u + t * w, nl, orders)):
+            acc += weight * d
+    return accs
 
 
 def ftc_linearize(u, w, nl: PowerNonlinearity, quad_nodes: int = 16):
@@ -266,9 +276,15 @@ def ftc_linearize(u, w, nl: PowerNonlinearity, quad_nodes: int = 16):
     u_arr = np.asarray(u, dtype=np.complex128)
     u_flat = u_arr.ravel()
     w_flat = np.broadcast_to(np.asarray(w, dtype=np.complex128), u_arr.shape).ravel()
-    i_z, i_zbar = _ftc_pair(u_flat, w_flat, nl, quad_nodes)
+    i_z, i_zbar = _ftc_integrals(u_flat, w_flat, nl, _FIRST_ORDERS, quad_nodes)
     out = (w_flat * i_z + np.conj(w_flat) * i_zbar).reshape(u_arr.shape)
     return complex(out) if u_arr.ndim == 0 else out
+
+
+def _low_and_shell(f: SpectralField, N: int, oversample: int, profile: str):
+    """P_{<=N/2} f and P_N f on the oversampled grid, the low part first."""
+    return (to_grid(blended_projection(f, N, 0.0, profile), oversample),
+            to_grid(project_dyadic(f, N, profile), oversample))
 
 
 def lp_difference_linearize(
@@ -285,24 +301,13 @@ def lp_difference_linearize(
     and term2 is the conjugate companion; both are returned truncated to the
     bandlimit of u.
     """
-    g_low = to_grid(blended_projection(u, N, 0.0, profile), oversample).samples.ravel()
-    shell_samples = to_grid(project_dyadic(u, N, profile), oversample).samples
-    g_shell = shell_samples.ravel()
-    i_z, i_zbar = _ftc_pair(g_low, g_shell, nl, quad_nodes)
+    low, shell = _low_and_shell(u, N, oversample, profile)
+    g_shell = shell.samples.ravel()
+    i_z, i_zbar = _ftc_integrals(low.samples.ravel(), g_shell, nl, _FIRST_ORDERS, quad_nodes)
 
-    t1 = GridField(u.metric, (g_shell * i_z).reshape(shell_samples.shape))
-    t2 = GridField(u.metric, (np.conj(g_shell) * i_zbar).reshape(shell_samples.shape))
+    t1 = GridField(u.metric, (g_shell * i_z).reshape(shell.samples.shape))
+    t2 = GridField(u.metric, (np.conj(g_shell) * i_zbar).reshape(shell.samples.shape))
     return to_spectral(t1, u.bandlimit), to_spectral(t2, u.bandlimit)
-
-
-SECOND_ORDER_TERMS = (
-    "w_shell_dz",
-    "w_shell_dzbar",
-    "u_shell_w_dzz",
-    "u_shell_wbar_dzzbar",
-    "u_shell_conj_w_dzbarz",
-    "u_shell_conj_wbar_dzbarzbar",
-)
 
 
 def second_order_expansion_pointwise(
@@ -324,17 +329,14 @@ def second_order_expansion_pointwise(
     K = quad_nodes
 
     # First-order pair: w_shell * int dFz(b_t(u+w)) dt and its conjugate.
-    a_z, a_zbar = _ftc_pair(u_low + w_low, u_shell + w_shell, nl, K)
+    a_z, a_zbar = _ftc_integrals(u_low + w_low, u_shell + w_shell, nl, _FIRST_ORDERS, K)
 
     # Second-order double integrals: for each outer node t, the inner
     # integral runs over e in [0,1] along b_t(u) + e * b_t(w).  The outer
-    # quadrature is graded (like the inner one) toward the t at which the
-    # blend family passes closest to the origin; the outer node axis is then
-    # folded into the point axis so the graded inner quadrature is reused
-    # unchanged.
-    nodes, weights = _gauss_legendre_01(K)
+    # rule is the graded rule, graded toward the t at which the blend family
+    # passes closest to the origin; the outer node axis is then folded into
+    # the point axis, so one inner pass serves all three orders.
     npts = u_low.size
-
     t_star = np.full(npts, 0.5)
     d_star = np.full(npts, np.inf)
     for t in np.linspace(0.0, 1.0, 33):
@@ -347,31 +349,18 @@ def second_order_expansion_pointwise(
         d_star = np.where(closer, d, d_star)
         t_star = np.where(closer, t, t_star)
 
-    bounds = _panel_bounds(np.clip(t_star, 1e-3, 1.0 - 1e-3))   # (P+1, npts)
-    t_nodes = []
-    t_weights = []
-    for i in range(bounds.shape[0] - 1):
-        a, length = bounds[i], bounds[i + 1] - bounds[i]
-        for x, gw in zip(nodes, weights):
-            t_nodes.append(a + length * x)
-            t_weights.append(gw * length)
-    t_mat = np.stack(t_nodes)          # (P*K, npts), per-point outer nodes
-    w_mat = np.stack(t_weights)
+    t_mat, w_mat = map(np.stack, zip(*_graded_nodes(t_star, K)))   # (P*K, npts) each
     bt_u = u_low[None, :] + t_mat * u_shell[None, :]
     bt_w = w_low[None, :] + t_mat * w_shell[None, :]
-    bt_u_flat, bt_w_flat = bt_u.ravel(), bt_w.ravel()
-
-    def outer(order, conj_weight: bool):
-        inner = _integrate_unit_interval(
-            lambda z: wirtinger(z, nl, order), bt_u_flat, bt_w_flat, K
-        ).reshape(t_mat.shape)
-        wt = np.conj(bt_w) if conj_weight else bt_w
-        return np.sum(w_mat * wt * inner, axis=0)
-
-    d_zz = outer((2, 0), conj_weight=False)
-    d_zzbar = outer((1, 1), conj_weight=True)
-    d_zbarz = outer((1, 1), conj_weight=False)
-    d_zbarzbar = outer((0, 2), conj_weight=True)
+    i_zz, i_zzbar, i_zbarzbar = (
+        inner.reshape(t_mat.shape)
+        for inner in _ftc_integrals(bt_u.ravel(), bt_w.ravel(), nl, _SECOND_ORDERS, K)
+    )
+    w_bt_w, w_bt_wbar = w_mat * bt_w, w_mat * np.conj(bt_w)
+    d_zz = np.sum(w_bt_w * i_zz, axis=0)
+    d_zzbar = np.sum(w_bt_wbar * i_zzbar, axis=0)
+    d_zbarz = np.sum(w_bt_w * i_zzbar, axis=0)
+    d_zbarzbar = np.sum(w_bt_wbar * i_zbarzbar, axis=0)
 
     return {
         "w_shell_dz": w_shell * a_z,
@@ -395,12 +384,8 @@ def second_order_expansion(
     """Six labeled spectral fields whose sum reconstructs the dyadic
     second-difference [F(u_{<=N}+w_{<=N}) - F(u_{<=N/2}+w_{<=N/2})]
     - [F(u_{<=N}) - F(u_{<=N/2})]."""
-    def parts(f):
-        return (to_grid(blended_projection(f, N, 0.0, profile), oversample),
-                to_grid(project_dyadic(f, N, profile), oversample))
-
-    ul, us = parts(u)
-    wl, ws = parts(w)
+    ul, us = _low_and_shell(u, N, oversample, profile)
+    wl, ws = _low_and_shell(w, N, oversample, profile)
     terms = second_order_expansion_pointwise(
         ul.samples, us.samples, wl.samples, ws.samples, nl, quad_nodes
     )

@@ -134,6 +134,10 @@ class SpaceTimePath:
     def frame(self, k: int) -> SpectralField:
         return SpectralField(self.metric, self.bandlimit, self.coeffs[k])
 
+    def grid_frames(self, oversample: int):
+        """Each frame on the oversample*(2M+1) grid, a GridField per time node in order."""
+        return (to_grid(self.frame(k), oversample) for k in range(self.grid.n))
+
     def map_frames(self, fn) -> "SpaceTimePath":
         return SpaceTimePath.from_fields(self.grid, [fn(self.frame(k)) for k in range(self.grid.n)])
 
@@ -157,8 +161,7 @@ def spacetime_lp(path: SpaceTimePath, p_t: float, p_x: float, oversample: int = 
     """L^{p_t}_t L^{p_x}_x norm: left-endpoint Riemann sum in t, grid quadrature in x."""
     if not (p_t >= 1 and p_x >= 1):  # also rejects NaN
         raise ValueError("Lebesgue exponents must be >= 1")
-    per_t = np.array([to_grid(path.frame(k), oversample).lp_norm(p_x)
-                      for k in range(path.grid.n)])
+    per_t = np.array([g.lp_norm(p_x) for g in path.grid_frames(oversample)])
     if np.isinf(p_t):
         return float(per_t.max())
     return float((path.grid.dt * np.sum(per_t**p_t)) ** (1.0 / p_t))
@@ -192,8 +195,7 @@ def u2_upper_bound(mode) -> float:
     consecutive values it is a single atom with step values phi_k, giving
     ||a||_{U^2} <= (sum_k |phi_k|^2)^{1/2}.
     """
-    values = mode.values if isinstance(mode, ModePath) else np.asarray(mode, dtype=np.complex128)
-    values = values.ravel()
+    values = (mode if isinstance(mode, ModePath) else ModePath(mode)).values
     keep = np.ones(values.size, dtype=bool)
     keep[1:] = values[1:] != values[:-1]
     phi = values[keep]

@@ -188,7 +188,7 @@ def picard_solve(
 
 def splitstep_solve(
     u0: SpectralField,
-    nl: PowerNonlinearity | None,
+    nl: PowerNonlinearity,
     dt: float,
     steps: int,
     oversample: int = 4,
@@ -198,17 +198,10 @@ def splitstep_solve(
     Half-step of the nonlinear phase u -> e^{-i*sign*(dt/2)|u|^p} u on the
     oversampled grid, full linear propagate, half nonlinear.  Returns the
     path sampled at t_k = k*dt, k = 0..steps-1 (frame 0 is the datum).
-    nl=None drops the nonlinear phase entirely (pure free flow).
     """
     if dt <= 0 or steps < 2:
         raise ValueError("need dt > 0 and steps >= 2")
     from .evolution import propagate
-
-    if nl is None:
-        frames = [u0]
-        for _ in range(steps - 1):
-            frames.append(propagate(frames[-1], dt))
-        return SpaceTimePath.from_fields(TimeGrid(dt * steps, steps), frames)
 
     def half_phase(f: SpectralField) -> SpectralField:
         g = to_grid(f, oversample)

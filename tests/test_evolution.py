@@ -115,14 +115,6 @@ def test_duhamel_l1_hs_triangle_bound():
         assert lhs <= rhs * (1 + 1e-12)
 
 
-def test_duhamel_operator_free_flow():
-    u0 = random_field(1, seed=7)
-    grid = TimeGrid(0.2, 8)
-    path = free_flow_path(u0, grid)
-    out = duhamel_operator(path, u0, None)
-    assert np.max(np.abs(out.coeffs - path.coeffs)) == 0.0
-
-
 def test_duhamel_operator_against_direct_quadrature():
     u0 = random_field(1, seed=8, scale=0.3)
     nl = PowerNonlinearity(2.0)

@@ -194,6 +194,18 @@ def test_run_estimate_determinism():
     assert a == b
 
 
+def test_run_estimate_seeds_draw_independent_trials():
+    # trial t of seed s must not reuse the stream of another (seed, trial)
+    # pair: under seed XOR trial, seeds 2 and 3 drew the same two trials
+    def draw(spec, env, N, rng):
+        return (rng.random(), 1.0)
+
+    ratios = [sorted(r["ratio"] for r in run_estimate(_fabricated_spec(0.0, trials=2, seed=s),
+                                                      evaluator=draw).ratios)
+              for s in (2, 3)]
+    assert ratios[0] != ratios[1]
+
+
 def test_estimate_spec_validation():
     with pytest.raises(ValueError):
         _fabricated_spec(0.0, trials=0)

@@ -15,7 +15,7 @@ from torus_nls.nonlinearity import (PowerNonlinearity, apply_F,
                                     max_wirtinger_order, s_critical,
                                     second_order_expansion,
                                     second_order_expansion_pointwise,
-                                    wirtinger)
+                                    wirtinger, wirtinger_orders)
 
 METRIC = TorusMetric((1.0, np.sqrt(2.0), np.sqrt(3.0)))
 
@@ -97,6 +97,27 @@ def test_wirtinger_at_zero():
     # p = 2, order 3: shared power hits zero -> no continuous extension
     with pytest.raises(DomainError):
         wirtinger(0j, PowerNonlinearity(2.0), (2, 1))
+    # also when a valid order comes first in a multi-order call
+    with pytest.raises(DomainError):
+        wirtinger_orders(np.array([1.0, 0j]), PowerNonlinearity(2.0), ((1, 0), (2, 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.sampled_from([2.0, 2.5, 3.0, 3.5, 4.0]), st.floats(2.0, 5.0)),
+       st.sampled_from([1, -1]), st.integers(0, 10**6), st.data())
+def test_wirtinger_orders_match_one_order_bitwise(p, sign, seed, data):
+    # every order set whose powers stay positive at z = 0, on points with
+    # injected zeros, gives the bits of one wirtinger call per order
+    nl = PowerNonlinearity(p, sign)
+    top = max_wirtinger_order(p)
+    admissible = [(a, b) for a in range(top + 1) for b in range(top + 1 - a)
+                  if p + 1 - a - b > 0]
+    orders = data.draw(st.lists(st.sampled_from(admissible), min_size=1, max_size=5))
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+    z[rng.integers(0, 40, size=6)] = 0
+    for order, got in zip(orders, wirtinger_orders(z, nl, orders)):
+        assert np.array_equal(got.view(np.uint64), wirtinger(z, nl, order).view(np.uint64))
 
 
 def brute_cubic_coeffs(f):

@@ -97,6 +97,10 @@ def test_u2_upper_bound_examples():
     assert u2_upper_bound([2.0, 2.0]) == pytest.approx(2.0)
     # distinct steps: root-sum-square of the step values
     assert u2_upper_bound([1.0, 2.0, 2.0, -1.0]) == pytest.approx(np.sqrt(1 + 4 + 1))
+    # like v2_norm, it rejects an empty or non-finite path
+    for bad in ([], [np.nan, 1.0]):
+        with pytest.raises(ValueError, match="nonempty finite"):
+            u2_upper_bound(bad)
 
 
 @settings(max_examples=200, deadline=None)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from torus_nls.errors import NoConvergence
-from torus_nls.evolution import duhamel_operator, free_flow_path, propagate
+from torus_nls.evolution import duhamel_operator, free_flow_path
 from torus_nls.lattice import SpectralField, TorusMetric
 from torus_nls.nonlinearity import PowerNonlinearity, apply_F
 from torus_nls.norms import TimeGrid, sobolev_norm
@@ -95,14 +95,6 @@ def test_uniqueness_probe_seed_independence():
     assert np.max(np.abs(a.coeffs - b.coeffs)) < 10 * tol
     with pytest.raises(ValueError):
         picard_solve(u0, nl, grid, initial="midpoint")
-
-
-def test_splitstep_free_flow():
-    u0 = random_field(1, seed=5)
-    path = splitstep_solve(u0, None, 0.01, 16)
-    for k in (0, 7, 15):
-        want = propagate(u0, 0.01 * k)
-        assert np.max(np.abs(path.frame(k).coeffs - want.coeffs)) < 1e-12
 
 
 def test_splitstep_plane_wave_exact():
