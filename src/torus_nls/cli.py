@@ -214,6 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="NLS spectral toolkit and estimate harness")
     parser.add_argument("--config", help="flat key = value config file")
     parser.add_argument("--seed", type=int, help="RNG seed (overrides env and config)")
+    parser.add_argument("--log-level", default="INFO", type=str.upper, dest="log_level",
+                        choices=["DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"],
+                        help="level of the torus_nls log on stderr (default: INFO)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="march, Picard-certify and persist artifacts")
@@ -259,12 +262,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cli_main(argv=None) -> int:
-    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0,) else EXIT_OK
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    log.setLevel(args.log_level)
     try:
         return args.func(args)
     except (ConfigError, NotFound) as exc:

@@ -67,13 +67,13 @@ def duhamel_operator(
     oversample (the march has it for the path it returns); the call then
     skips its own apply_F pass over the frames.
     """
-    free = free_flow_path(u0, u.grid)
+    free = free_flow_path(u0, u.grid).coeffs  # built before the forcing is live
     if forcing is None:
         forcing = u.map_frames(lambda f: apply_F(f, nl, oversample))
     else:
         u._check_same_grid(forcing)
     partials = _duhamel_partials(forcing)
-    return SpaceTimePath(u.grid, u.metric, u.bandlimit, free.coeffs - 1j * partials)
+    return SpaceTimePath(u.grid, u.metric, u.bandlimit, free - 1j * partials)
 
 
 def one_mode_duhamel_exact(metric: TorusMetric, xi, t: float, amplitude: complex = 1.0) -> complex:

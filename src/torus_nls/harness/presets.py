@@ -198,10 +198,10 @@ def _bony_evaluator(spec, env, N, rng):
 def _pair_with_path(X: SpectralField, v: SpaceTimePath) -> float:
     """|int_0^T int X v dx dt| for a static bandlimited factor X and a path v.
 
-    Computed spectrally: int a b dx = sum_xi a_hat(xi) b_hat(-xi).
+    Computed spectrally, int a b dx = sum_xi a_hat(xi) b_hat(-xi), against
+    v's time integral (taken from its steps when v carries them).
     """
-    x_rev = X.coeffs[::-1, ::-1, ::-1]
-    return abs(v.grid.dt * np.einsum("tijk,ijk->", v.coeffs, x_rev))
+    return abs(np.sum(v.time_integral() * X.coeffs[::-1, ::-1, ::-1]))
 
 
 def _draw_factors(spec, env, N, rng):

@@ -7,15 +7,21 @@ the free flow and takes the V^2 norm of the twisted mode path, the profile
 e^{-itDelta}u; with the unitary convention this makes free flows have Y^s
 norm equal to the H^s norm of the data, exactly.
 
+A piecewise free flow (SpaceTimePath.free_steps: free flows, step atoms and
+dual candidates) stays factored: it keeps its profile steps and cuts and
+builds its (n_t, 2M+1, 2M+1, 2M+1) lab-frame coefficients only when they
+are read.  Its twisted path is its step sequence, so y_norm runs the
+dynamic program on the steps, and its time integral is each step times the
+sum of its block's phases e^{-ictQ}, taken on the distinct values of Q.
+
 y_norm runs the dynamic program on as few rows as the path's structure
 allows, and every route is exact:
 
-- a piecewise free flow (SpaceTimePath.free_steps: free flows and step
-  atoms) carries its profile steps, and the twisted path is that step
-  sequence, so the program runs on the steps;
+- a piecewise free flow runs it on its steps;
 - a static path (every time row equal to row 0) twists to f_xi e^{ictQ(xi)},
   whose V^2 norm is |f_xi| kappa(Q(xi)); kappa, the V^2 norm of the unit
-  phase path, is computed on the distinct values of Q only;
+  phase path, is computed on the distinct values of Q, once per (metric,
+  grid, bandlimit), and kept read-only;
 - any other path is twisted and runs the full program on every row.
 
 flow_phases is the only builder of the free-flow phase e^{-ictQ} on a time
@@ -30,6 +36,7 @@ necessary-condition tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -73,36 +80,46 @@ class ModePath:
         object.__setattr__(self, "values", v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SpaceTimePath:
-    """A SpectralField per time node, stored as stacked coefficients.
+    """A SpectralField per time node.
 
-    ``steps`` holds the profile steps of a piecewise free flow and is set
-    only by ``free_steps``; every other path has ``steps = None``.
+    A path built by ``free_steps`` stores its profile ``steps`` and ``cuts``
+    and builds its stacked ``coeffs`` only when they are read; every other
+    path stores its ``coeffs`` and has ``steps = cuts = None``.
     """
 
     grid: TimeGrid
     metric: TorusMetric
     bandlimit: int
-    coeffs: np.ndarray = field(repr=False)  # (n_t, 2M+1, 2M+1, 2M+1)
-    steps: np.ndarray | None = field(default=None, init=False, repr=False)  # (k, 2M+1, 2M+1, 2M+1)
+    _coeffs: np.ndarray | None = field(repr=False)  # (n_t, 2M+1, 2M+1, 2M+1)
+    steps: np.ndarray | None = field(repr=False)  # (k, 2M+1, 2M+1, 2M+1)
+    cuts: np.ndarray | None = field(repr=False)  # (k - 1,) node indices
 
-    def __post_init__(self):
-        nn = 2 * self.bandlimit + 1
-        c = np.ascontiguousarray(self.coeffs, dtype=np.complex128)
-        if c.shape != (self.grid.n, nn, nn, nn):
+    def __init__(self, grid: TimeGrid, metric: TorusMetric, bandlimit: int, coeffs):
+        nn = 2 * bandlimit + 1
+        c = np.ascontiguousarray(coeffs, dtype=np.complex128)
+        if c.shape != (grid.n, nn, nn, nn):
             raise ValueError(f"coeffs shape {c.shape} inconsistent with grid/bandlimit")
         if not np.all(np.isfinite(c.view(np.float64))):
             raise ValueError("path contains NaN or Inf")
         c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
+        self._set(grid, metric, bandlimit, c, None, None)
+
+    def _set(self, *values):
+        for name, value in zip(("grid", "metric", "bandlimit", "_coeffs", "steps", "cuts"), values):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def free_steps(cls, grid: TimeGrid, metric: TorusMetric, bandlimit: int, steps,
                    cuts=()) -> "SpaceTimePath":
         """Piecewise free flow: node t_k carries e^{it_k Delta} steps[j], with
         j the number of cuts <= k; cuts are increasing node indices in
-        [1, n_t - 1], one fewer than the steps."""
+        [1, n_t - 1], one fewer than the steps.
+
+        Only the steps and cuts are kept (read-only); ``coeffs`` is built on
+        first read, and y_norm and time_integral never read it.
+        """
         nn = 2 * bandlimit + 1
         steps = np.ascontiguousarray(steps, dtype=np.complex128)
         cuts = np.asarray(cuts, dtype=np.int64)
@@ -111,15 +128,44 @@ class SpaceTimePath:
                              f"{cuts.size} cuts and bandlimit {bandlimit}")
         if cuts.size and not (cuts[0] >= 1 and cuts[-1] < grid.n and np.all(np.diff(cuts) > 0)):
             raise ValueError(f"cuts must increase within [1, {grid.n - 1}], got {cuts}")
-        flow = flow_phases(metric, grid, q_grid(metric, bandlimit))
-        if cuts.size:
-            coeffs = flow * steps[np.searchsorted(cuts, np.arange(grid.n), side="right")]
-        else:
-            coeffs = flow * steps
-        path = cls(grid, metric, bandlimit, coeffs)
+        if not np.all(np.isfinite(steps.view(np.float64))):
+            raise ValueError("path contains NaN or Inf")
         steps.flags.writeable = False
-        object.__setattr__(path, "steps", steps)
+        cuts.flags.writeable = False
+        path = cls.__new__(cls)
+        path._set(grid, metric, bandlimit, None, steps, cuts)
         return path
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        """(n_t, 2M+1, 2M+1, 2M+1) read-only coefficients, one frame per node."""
+        if self._coeffs is None:
+            flow = flow_phases(self.metric, self.grid, q_grid(self.metric, self.bandlimit))
+            if self.cuts.size:
+                c = flow * self.steps[np.searchsorted(self.cuts, np.arange(self.grid.n),
+                                                      side="right")]
+            else:
+                c = flow * self.steps
+            c = np.ascontiguousarray(c)
+            c.flags.writeable = False
+            object.__setattr__(self, "_coeffs", c)
+        return self._coeffs
+
+    def time_integral(self) -> np.ndarray:
+        """Left Riemann sum dt * sum_k coeffs[k], a (2M+1)^3 array.
+
+        A piecewise free flow takes it from its steps: step j is multiplied
+        by the sum of e^{-ic t_k Q} over its block of nodes, a phase sum
+        taken on the distinct values of Q and gathered.
+        """
+        if self.steps is None:
+            return self.grid.dt * self.coeffs.sum(axis=0)
+        q_values, q_index = _q_classes(self.metric, self.bandlimit)
+        starts = np.concatenate(([0], self.cuts))
+        block_sums = np.add.reduceat(flow_phases(self.metric, self.grid, q_values), starts)
+        flat = np.einsum("jm,jm->m", block_sums[:, q_index],
+                         self.steps.reshape(len(self.steps), -1))
+        return self.grid.dt * flat.reshape(self.steps.shape[1:])
 
     @classmethod
     def from_fields(cls, grid: TimeGrid, fields: list[SpectralField]) -> "SpaceTimePath":
@@ -214,6 +260,25 @@ def flow_phases(metric: TorusMetric, grid: TimeGrid, q: np.ndarray) -> np.ndarra
     return phases[:, q_index.ravel()].reshape((grid.n,) + np.shape(q))
 
 
+@lru_cache(maxsize=8)
+def _q_classes(metric: TorusMetric, bandlimit: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of Q on the coefficient cube, and the flat index
+    (int32) of each mode's value among them; both read-only."""
+    q_values, q_index = np.unique(q_grid(metric, bandlimit), return_inverse=True)
+    q_index = q_index.ravel().astype(np.int32)
+    q_values.flags.writeable = q_index.flags.writeable = False
+    return q_values, q_index
+
+
+@lru_cache(maxsize=8)
+def _kappa(metric: TorusMetric, grid: TimeGrid, bandlimit: int) -> np.ndarray:
+    """kappa on the distinct values of Q (as _q_classes orders them),
+    read-only: the V^2 norm of the unit phase path e^{ictQ}."""
+    kappa = _v2_batch(flow_phases(metric, grid, _q_classes(metric, bandlimit)[0]))
+    kappa.flags.writeable = False
+    return kappa
+
+
 def _twisted_coeffs(path: SpaceTimePath) -> np.ndarray:
     """e^{+i c t Q(xi)} u_hat(t, xi): free flow becomes a constant path."""
     q = q_grid(path.metric, path.bandlimit).ravel()
@@ -226,19 +291,21 @@ def y_norm(path: SpaceTimePath, s: float) -> float:
     """Y^s norm: (sum_xi <xi>^{2s} V^2(twisted mode path)^2)^{1/2}.
 
     A path built by free_steps twists to its step sequence, so V^2 runs on
-    the steps.  A static path takes V^2 = |f_xi| kappa(Q(xi)), with kappa
-    the V^2 norm of the unit phase path on the distinct values of Q.  Any
-    other path is twisted and runs the dynamic program on every row.
+    the steps and the lab-frame coefficients are never built.  A static
+    path takes V^2 = |f_xi| kappa(Q(xi)), with kappa the V^2 norm of the
+    unit phase path, computed once per (metric, grid, bandlimit) on the
+    distinct values of Q.  Any other path is twisted and runs the dynamic
+    program on every row.
     """
-    flat = path.coeffs.reshape(path.grid.n, -1)
     if path.steps is not None:
         v2 = _v2_batch(path.steps.reshape(len(path.steps), -1))
-    elif all(np.array_equal(row, flat[0]) for row in flat[1:]):
-        q_values, q_index = np.unique(q_grid(path.metric, path.bandlimit), return_inverse=True)
-        kappa = _v2_batch(flow_phases(path.metric, path.grid, q_values))
-        v2 = np.abs(flat[0]) * kappa[q_index.ravel()]
     else:
-        v2 = _v2_batch(_twisted_coeffs(path))
+        flat = path.coeffs.reshape(path.grid.n, -1)
+        if all(np.array_equal(row, flat[0]) for row in flat[1:]):
+            q_index = _q_classes(path.metric, path.bandlimit)[1]
+            v2 = np.abs(flat[0]) * _kappa(path.metric, path.grid, path.bandlimit)[q_index]
+        else:
+            v2 = _v2_batch(_twisted_coeffs(path))
     w = bracket_sq(path.metric, path.bandlimit).ravel() ** s
     return float(np.sqrt(np.sum(w * v2**2)))
 
@@ -261,7 +328,7 @@ def _random_candidate(path: SpaceTimePath, rng: np.random.Generator, kind: str) 
     if kind == "free_flow":
         steps, cuts = rand_field()[None], ()
     else:  # twisted step path: piecewise-constant in the twisted coordinates
-        n_blocks = int(rng.integers(2, max(3, n_t // 2) + 1))
+        n_blocks = min(n_t, int(rng.integers(2, max(3, n_t // 2) + 1)))
         cuts = np.sort(rng.choice(np.arange(1, n_t), size=n_blocks - 1, replace=False))
         steps = np.stack([rand_field() for _ in range(n_blocks)])
     return SpaceTimePath.free_steps(path.grid, path.metric, path.bandlimit, steps, cuts)

@@ -161,8 +161,9 @@ def picard_solve(
         d = _path_distance(nxt, u, s)
         distances.append(d)
         u = nxt
-        if not np.isfinite(d) or d > 1e10:
-            # hard divergence; bail before the iterates overflow to Inf
+        if not np.isfinite(d) or d > 1e10 * distances[0]:
+            # hard divergence (relative to the first step, so the test does not
+            # depend on the scale of the data); bail before the iterates overflow
             last = distances[-1] / distances[-2] if len(distances) > 1 else np.inf
             raise NoConvergence(max_iter, last, iterations=len(distances))
         if d < tol:

@@ -189,6 +189,20 @@ def test_cli_solve(tmp_path):
     assert len(frames) == 8
 
 
+def test_cli_log_level(tmp_path, caplog):
+    # data too large for T = 4: find_T halves T and logs each halving at INFO
+    cfg = _write_cfg(tmp_path, T=4.0, bandlimit=1, n_time=4)
+    u0 = tmp_path / "u.field.json"
+    assert cli_main(["--config", str(cfg), "--seed", "1", "field", "random",
+                     "--amplitude", "3", "--out", str(u0)]) == 0
+    solve = ["solve", "--find-T", "--u0", str(u0)]
+    for level, shown in (("info", True), ("WARNING", False), ("INFO", True)):
+        caplog.clear()
+        assert cli_main(["--config", str(cfg), "--log-level", level, *solve]) == 0
+        assert any("halving" in r.getMessage() for r in caplog.records) == shown
+    assert cli_main(["--config", str(cfg), "--log-level", "LOUD", *solve]) == 2
+
+
 def test_cli_verify_and_report(tmp_path, capsys):
     cfg = _write_cfg(tmp_path)
     assert cli_main(["--config", str(cfg), "verify", "embedding_checks",

@@ -130,8 +130,11 @@ def test_duhamel_operator_against_direct_quadrature():
     assert np.array_equal(duhamel_operator(u, u0, nl, forcing=forcing).coeffs, out.coeffs)
 
 
+# subnormal scalars are left out: a F + b G then underflows, and no relative
+# tolerance can hold below the smallest normal float
 @settings(max_examples=25, deadline=None)
-@given(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0), st.integers(0, 10**6))
+@given(st.floats(-4.0, 4.0, allow_subnormal=False), st.floats(-4.0, 4.0, allow_subnormal=False),
+       st.integers(0, 10**6))
 def test_duhamel_partials_linear(a, b, seed):
     rng = np.random.default_rng(seed)
     grid = TimeGrid(0.3, 6)

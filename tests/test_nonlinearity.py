@@ -138,6 +138,31 @@ def brute_cubic_coeffs(f):
     return out
 
 
+@pytest.mark.parametrize("p", [2.0, 4.0])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_evaluate_F_even_powers_against_exact_arithmetic(p, sign):
+    from fractions import Fraction
+
+    rng = np.random.default_rng(40)
+    z = (rng.standard_normal(300) + 1j * rng.standard_normal(300)) * np.exp(
+        rng.uniform(-5.0, 5.0, 300))
+    z[0] = 0.0
+    got = evaluate_F(z, PowerNonlinearity(p, sign))
+    for zi, gi in zip(z, got):
+        re, im = Fraction(zi.real), Fraction(zi.imag)
+        mod_p = (re * re + im * im) ** int(p // 2)
+        want = complex(sign * mod_p * re, sign * mod_p * im)  # rounded once
+        assert abs(gi - want) <= 1e-15 * abs(want)
+    assert evaluate_F(1.5 - 2j, PowerNonlinearity(p, sign)) == sign * 6.25 ** (p / 2) * (1.5 - 2j)
+
+
+def test_evaluate_F_other_powers_keep_abs_pow():
+    z = np.random.default_rng(41).standard_normal(64) * (1 - 0.5j)
+    for p in (2.5, 3.0, 3.5):
+        want = -np.abs(z) ** p * z
+        assert np.array_equal(evaluate_F(z, PowerNonlinearity(p, -1)), want)
+
+
 def test_apply_F_cubic_convolution_oracle():
     nl = PowerNonlinearity(2.0)
     f = random_field(1, seed=7)

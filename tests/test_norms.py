@@ -10,7 +10,7 @@ from torus_nls.evolution import free_flow_path
 from torus_nls.lattice import SpectralField, TorusMetric, bracket_sq, q_grid
 from torus_nls.littlewood_paley import dyadic_ladder, project_dyadic
 from torus_nls.harness.samplers import SamplerSpec, sample_path
-from torus_nls.norms import (ModePath, SpaceTimePath, TimeGrid,
+from torus_nls.norms import (ModePath, SpaceTimePath, TimeGrid, _kappa,
                              _random_candidate, _twisted_coeffs, _v2_batch,
                              duality_pairing, flow_phases, sobolev_norm,
                              spacetime_lp, u2_upper_bound, v2_norm,
@@ -210,6 +210,71 @@ def test_free_steps_coefficients():
         SpaceTimePath(grid, METRIC, 2, path.coeffs, steps=blocks)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 8, 64]), st.sampled_from([(1.0, 1.0, 1.0), (1.0, 2.0, 3.0),
+                                                     (1.0, np.sqrt(2.0), np.sqrt(3.0))]),
+       st.sampled_from(["free_flow", "step_atom", "free_flow_dual", "step_dual"]),
+       st.integers(0, 2**32 - 1))
+def test_free_steps_builds_coeffs_on_read(n_t, theta, kind, seed):
+    metric, grid = TorusMetric(theta), TimeGrid(0.5, n_t)
+    rng = np.random.default_rng(seed)
+    nn = 5
+    u0 = SpectralField(metric, 2, rng.standard_normal((nn,) * 3)
+                       + 1j * rng.standard_normal((nn,) * 3))
+    if kind == "free_flow":
+        path = free_flow_path(u0, grid)
+    elif kind == "step_atom":
+        path = sample_path(SamplerSpec("step_atom", support="ball"), metric, 2, 2, grid, rng)
+    else:
+        path = _random_candidate(free_flow_path(u0, grid), rng, kind.removesuffix("_dual"))
+    # y_norm and the time integral come from the steps; nothing n_t-sized is built
+    y_norm(path, 0.5)
+    integral = path.time_integral()
+    assert path._coeffs is None
+    flow = flow_phases(metric, grid, q_grid(metric, 2))
+    if path.cuts.size:
+        eager = flow * path.steps[np.searchsorted(path.cuts, np.arange(n_t), side="right")]
+    else:
+        eager = flow * path.steps
+    assert path.coeffs.flags.c_contiguous
+    assert np.array_equal(path.coeffs.view(np.uint64),
+                          np.ascontiguousarray(eager).view(np.uint64))
+    assert not path.coeffs.flags.writeable and not path.cuts.flags.writeable
+    assert path.coeffs is path.coeffs  # built once
+    want = grid.dt * eager.sum(axis=0)
+    assert np.max(np.abs(integral - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_time_integral_of_a_stored_path():
+    path = random_path(2, 6, seed=30)
+    assert np.array_equal(path.time_integral(), path.grid.dt * path.coeffs.sum(axis=0))
+
+
+def test_free_steps_rejects_non_finite_steps():
+    grid = TimeGrid(0.5, 8)
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        blocks = np.stack([random_field(1, seed=k).coeffs for k in range(2)])
+        blocks[1, 0, 2, 1] = bad
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            SpaceTimePath.free_steps(grid, METRIC, 1, blocks, [3])
+
+
+def test_kappa_is_computed_once_per_grid_and_read_only():
+    f = random_field(2, seed=31)
+    grid = TimeGrid(0.5, 16)
+    static = SpaceTimePath.from_fields(grid, [f] * grid.n)
+    _kappa.cache_clear()
+    first = y_norm(static, 0.5)
+    assert y_norm(static, 0.5) == first
+    assert y_norm(SpaceTimePath.from_fields(grid, [2.0 * f] * grid.n), -0.5) > 0
+    info = _kappa.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    kappa = _kappa(METRIC, grid, 2)
+    assert not kappa.flags.writeable
+    assert kappa is _kappa(METRIC, TimeGrid(0.5, 16), 2)
+    assert _kappa(METRIC, TimeGrid(0.5, 8), 2) is not kappa
+
+
 def test_y_norm_dyadic_identity():
     # sharp dyadic blocks are orthogonal mode sets, so the squares add exactly
     path = random_path(2, 6, seed=6)
@@ -264,6 +329,13 @@ def test_xnorm_lower_bound_zero_and_monotone():
     assert all(vals[i + 1] >= vals[i] for i in range(len(vals) - 1))
     with pytest.raises(ValueError):
         xnorm_lower_bound(f, 0.5, 0, seed=0)
+
+
+def test_xnorm_lower_bound_on_two_nodes():
+    # a 2-node grid has one cut position, so a step candidate has two blocks
+    f = random_path(1, 2, seed=14)
+    for seed in range(8):
+        assert xnorm_lower_bound(f, 0.5, 4, seed=seed) > 0
 
 
 def test_xnorm_lower_bound_one_mode_sanity():

@@ -72,6 +72,17 @@ def test_no_convergence_names_the_iterations_run():
     assert f"after {len(calls)} of 8 iterations" in str(exc.value)
 
 
+def test_divergence_is_judged_relative_to_the_first_distance():
+    # the same contraction at amplitude 1e13 (nonlinear time scale T |u|^2
+    # kept) starts from d_0 > 1e10 and must still converge
+    nl = PowerNonlinearity(2.0)
+    for scale, T in ((1.0, 0.01), (1e13, 1e-28)):
+        u0 = scale * small_datum(2, seed=1, hs=1.0)
+        _, diag = picard_solve(u0, nl, TimeGrid(T, 8), tol=1e-9 * scale, max_iter=12)
+        assert diag.converged and diag.iterations == 4
+        assert diag.distances[0] > 1e-3 * scale
+
+
 def test_focusing_defocusing_agree_for_small_data():
     u0 = small_datum(1, seed=3, hs=0.02)
     grid = TimeGrid(0.2, 8)
