@@ -10,14 +10,13 @@ norm equal to the H^s norm of the data, exactly.
 A piecewise free flow (SpaceTimePath.free_steps: free flows, step atoms and
 dual candidates) stays factored: it keeps its profile steps and cuts and
 builds its (n_t, 2M+1, 2M+1, 2M+1) lab-frame coefficients only when they
-are read.  Its twisted path is its step sequence, so y_norm runs the
-dynamic program on the steps, and its time integral is each step times the
-sum of its block's phases e^{-ictQ}, taken on the distinct values of Q.
+are read.  Its time integral is each step times the sum of its block's
+phases e^{-ictQ}, taken on the distinct values of Q.
 
 y_norm runs the dynamic program on as few rows as the path's structure
 allows, and every route is exact:
 
-- a piecewise free flow runs it on its steps;
+- a piecewise free flow twists to its step sequence, so it runs on the steps;
 - a static path (every time row equal to row 0) twists to f_xi e^{ictQ(xi)},
   whose V^2 norm is |f_xi| kappa(Q(xi)); kappa, the V^2 norm of the unit
   phase path, is computed on the distinct values of Q, once per (metric,
