@@ -170,19 +170,8 @@ def wirtinger(z, nl: PowerNonlinearity, order: tuple[int, int] = (0, 0)):
 
 
 def evaluate_F(z, nl: PowerNonlinearity):
-    """Pointwise sign * |z|^p z.
-
-    At p = 2 and p = 4, |z|^p is built from re^2 + im^2 by multiplication,
-    which is faster than abs and pow and no less accurate.
-    """
+    """Pointwise sign * |z|^p z."""
     z_arr = np.asarray(z, dtype=np.complex128)
-    if nl.p in (2, 4):
-        mod_p = z_arr.real * z_arr.real
-        mod_p += z_arr.imag * z_arr.imag
-        if nl.p == 4:
-            mod_p *= mod_p
-        mod_p *= nl.sign
-        return mod_p * z_arr
     return nl.sign * np.abs(z_arr) ** nl.p * z_arr
 
 

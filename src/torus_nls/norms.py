@@ -79,7 +79,7 @@ class ModePath:
         object.__setattr__(self, "values", v)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class SpaceTimePath:
     """A SpectralField per time node.
 
@@ -91,9 +91,9 @@ class SpaceTimePath:
     grid: TimeGrid
     metric: TorusMetric
     bandlimit: int
-    _coeffs: np.ndarray | None = field(repr=False)  # (n_t, 2M+1, 2M+1, 2M+1)
-    steps: np.ndarray | None = field(repr=False)  # (k, 2M+1, 2M+1, 2M+1)
-    cuts: np.ndarray | None = field(repr=False)  # (k - 1,) node indices
+    _coeffs: np.ndarray | None = field(default=None, repr=False)  # (n_t, 2M+1, 2M+1, 2M+1)
+    steps: np.ndarray | None = field(default=None, repr=False)  # (k, 2M+1, 2M+1, 2M+1)
+    cuts: np.ndarray | None = field(default=None, repr=False)  # (k - 1,) node indices
 
     def __init__(self, grid: TimeGrid, metric: TorusMetric, bandlimit: int, coeffs):
         nn = 2 * bandlimit + 1
@@ -103,11 +103,10 @@ class SpaceTimePath:
         if not np.all(np.isfinite(c.view(np.float64))):
             raise ValueError("path contains NaN or Inf")
         c.flags.writeable = False
-        self._set(grid, metric, bandlimit, c, None, None)
-
-    def _set(self, *values):
-        for name, value in zip(("grid", "metric", "bandlimit", "_coeffs", "steps", "cuts"), values):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "metric", metric)
+        object.__setattr__(self, "bandlimit", bandlimit)
+        object.__setattr__(self, "_coeffs", c)
 
     @classmethod
     def free_steps(cls, grid: TimeGrid, metric: TorusMetric, bandlimit: int, steps,
@@ -132,7 +131,11 @@ class SpaceTimePath:
         steps.flags.writeable = False
         cuts.flags.writeable = False
         path = cls.__new__(cls)
-        path._set(grid, metric, bandlimit, None, steps, cuts)
+        object.__setattr__(path, "grid", grid)
+        object.__setattr__(path, "metric", metric)
+        object.__setattr__(path, "bandlimit", bandlimit)
+        object.__setattr__(path, "steps", steps)
+        object.__setattr__(path, "cuts", cuts)
         return path
 
     @property
@@ -155,7 +158,9 @@ class SpaceTimePath:
 
         A piecewise free flow takes it from its steps: step j is multiplied
         by the sum of e^{-ic t_k Q} over its block of nodes, a phase sum
-        taken on the distinct values of Q and gathered.
+        taken on the distinct values of Q and gathered.  A stored path sums
+        its coefficients, so the integral is defined for every path and a
+        caller need not know how its path was built.
         """
         if self.steps is None:
             return self.grid.dt * self.coeffs.sum(axis=0)

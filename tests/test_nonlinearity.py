@@ -156,13 +156,6 @@ def test_evaluate_F_even_powers_against_exact_arithmetic(p, sign):
     assert evaluate_F(1.5 - 2j, PowerNonlinearity(p, sign)) == sign * 6.25 ** (p / 2) * (1.5 - 2j)
 
 
-def test_evaluate_F_other_powers_keep_abs_pow():
-    z = np.random.default_rng(41).standard_normal(64) * (1 - 0.5j)
-    for p in (2.5, 3.0, 3.5):
-        want = -np.abs(z) ** p * z
-        assert np.array_equal(evaluate_F(z, PowerNonlinearity(p, -1)), want)
-
-
 def test_apply_F_cubic_convolution_oracle():
     nl = PowerNonlinearity(2.0)
     f = random_field(1, seed=7)
