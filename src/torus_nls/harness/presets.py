@@ -19,7 +19,8 @@ from ..lattice import (GridField, SpectralField, fractional_multiplier,
 from ..littlewood_paley import project_dyadic, project_leq
 from ..nonlinearity import (PowerNonlinearity, bony_tail, evaluate_F, s_critical,
                            wirtinger_orders)
-from ..norms import SpaceTimePath, TimeGrid, sobolev_norm, spacetime_lp, y_norm
+from ..norms import (SpaceTimePath, TimeGrid, dual_quotient, sobolev_norm, spacetime_lp,
+                     y_norm)
 from .estimates import EstimateSpec, RunEnvironment
 from .samplers import SamplerSpec, random_field, sample_path
 
@@ -195,15 +196,6 @@ def _bony_evaluator(spec, env, N, rng):
 # Multilinear estimates
 
 
-def _pair_with_path(X: SpectralField, v: SpaceTimePath) -> float:
-    """|int_0^T int X v dx dt| for a static bandlimited factor X and a path v.
-
-    Computed spectrally, int a b dx = sum_xi a_hat(xi) b_hat(-xi), against
-    v's time integral (taken from its steps when v carries them).
-    """
-    return abs(np.sum(v.time_integral() * X.coeffs[::-1, ::-1, ::-1]))
-
-
 def _draw_factors(spec, env, N, rng):
     """Grid, bandlimit M, N2 and the factors [v_N, u_N, u_{N2}, u_{N3}],
     drawn in that order, of the quadrilinear presets."""
@@ -252,9 +244,11 @@ def contraction_ratio(
         |int int v (F(u+w) - F(u))| /
             (||v||_{Y^{-s_c}} ||w||_{Y^{s_c}} (||u||_{Y^{s_c}} + ||w||_{Y^{s_c}})^p)
 
-    The sup over v is approximated by a max over sampled duals, so the
-    returned ratio underestimates the true duality quotient (a valid
-    necessary test).  Exactly homogeneous in the data amplitude.
+    The sup over v is approximated by a max of dual_quotient over sampled
+    step atoms, so the returned ratio underestimates the true duality
+    quotient (a valid necessary test).  int v X = <conj(X(-.)), v>, so the
+    conjugate-reflected X is held static.  Exactly homogeneous in the data
+    amplitude.
     """
     nl = PowerNonlinearity(p)
     s_c = nl.s_c
@@ -265,16 +259,15 @@ def contraction_ratio(
     gw = to_grid(w, oversample).samples
     fdiff = evaluate_F(gu + gw, nl) - evaluate_F(gu, nl)
     X = to_spectral(GridField(env.metric, fdiff), M)
+    Xr = _static(X.with_coeffs(np.conj(X.coeffs[::-1, ::-1, ::-1])), grid)
 
     y_u = y_norm(_static(u, grid), s_c)
     y_w = y_norm(_static(w, grid), s_c)
-    best = 0.0
-    for _ in range(dual_candidates):
-        v = sample_path(SamplerSpec("step_atom", support="ball"), env.metric, M, M, grid, rng)
-        denom = y_norm(v, -s_c) * y_w * (y_u + y_w) ** p
-        if denom > 0:
-            best = max(best, _pair_with_path(X, v) / denom)
-    return best
+    atom = SamplerSpec("step_atom", support="ball")
+    best = max((dual_quotient(Xr, sample_path(atom, env.metric, M, M, grid, rng), s_c)
+                for _ in range(dual_candidates)), default=0.0)
+    denom = y_w * (y_u + y_w) ** p
+    return best / denom if denom > 0 else 0.0
 
 
 def _contraction_evaluator(spec, env, N, rng):

@@ -17,9 +17,9 @@ from ..errors import SamplerDegenerate
 from ..evolution import free_flow_path
 from ..lattice import SpectralField, TorusMetric, euclidean_norm_grid
 from ..littlewood_paley import cube_mask
-from ..norms import SpaceTimePath, TimeGrid
+from ..norms import SpaceTimePath, TimeGrid, dual_quotient
 
-KINDS = ("gaussian_shell", "free_flow", "step_atom", "solver_output")
+KINDS = ("gaussian_shell", "free_flow", "step_atom")
 SUPPORTS = ("shell", "ball", "cube")
 
 
@@ -99,11 +99,22 @@ def sample_path(
         steps = [random_field(spec, metric, bandlimit, N, rng).coeffs for _ in range(n_blocks)]
         return SpaceTimePath.free_steps(grid, metric, bandlimit, np.stack(steps), cuts)
 
-    if spec.kind == "solver_output":
-        from ..nonlinearity import PowerNonlinearity
-        from ..solver import splitstep_solve
-
-        u0 = random_field(spec, metric, bandlimit, N, rng)
-        return splitstep_solve(u0, PowerNonlinearity(2.0), grid.dt, grid.n, oversample=2)
-
     raise ValueError(f"unknown sampler kind {spec.kind!r}")
+
+
+def xnorm_lower_bound(f: SpaceTimePath, s: float, candidate_count: int,
+                      seed: int | np.random.Generator) -> float:
+    """Sampled duality lower bound for the X^s norm of f's Duhamel integral.
+
+    The max of dual_quotient(f, v, s) over candidate_count duals v drawn on
+    f's ball |xi| <= M, alternating free flows and step atoms; seed is an
+    int or a Generator.  A sampled sup underestimates the true duality sup,
+    so the bound is one-sided.
+    """
+    if candidate_count < 1:
+        raise ValueError("candidate_count must be >= 1")
+    rng = np.random.default_rng(seed)
+    kinds = (SamplerSpec("free_flow", support="ball"), SamplerSpec("step_atom", support="ball"))
+    M = f.bandlimit
+    return max(dual_quotient(f, sample_path(kinds[i % 2], f.metric, M, M, f.grid, rng), s)
+               for i in range(candidate_count))

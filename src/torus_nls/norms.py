@@ -7,33 +7,36 @@ the free flow and takes the V^2 norm of the twisted mode path, the profile
 e^{-itDelta}u; with the unitary convention this makes free flows have Y^s
 norm equal to the H^s norm of the data, exactly.
 
-A piecewise free flow (SpaceTimePath.free_steps: free flows, step atoms and
-dual candidates) stays factored: it keeps its profile steps and cuts and
+A piecewise free flow (SpaceTimePath.free_steps: free flows and step
+atoms) stays factored: it keeps its profile steps and cuts and
 builds its (n_t, 2M+1, 2M+1, 2M+1) lab-frame coefficients only when they
 are read.  Its time integral is each step times the sum of its block's
-phases e^{-ictQ}, taken on the distinct values of Q.
+phases e^{-ictQ}, taken on the distinct values of Q.  A static path
+(SpaceTimePath.from_fields on one field repeated) holds that field once;
+its coefficients are a read-only broadcast view of it.
 
 y_norm runs the dynamic program on as few rows as the path's structure
 allows, and every route is exact:
 
 - a piecewise free flow twists to its step sequence, so it runs on the steps;
-- a static path (every time row equal to row 0) twists to f_xi e^{ictQ(xi)},
-  whose V^2 norm is |f_xi| kappa(Q(xi)); kappa, the V^2 norm of the unit
-  phase path, is computed on the distinct values of Q, once per (metric,
-  grid, bandlimit), and kept read-only;
+- a static path twists to f_xi e^{ictQ(xi)}, whose V^2 norm is
+  |f_xi| kappa(Q(xi)); kappa, the V^2 norm of the unit phase path, is
+  computed on the distinct values of Q, once per (metric, grid, bandlimit),
+  and kept read-only;
 - any other path is twisted and runs the full program on every row.
 
 flow_phases is the only builder of the free-flow phase e^{-ictQ} on a time
 grid.
 
-U^2 and X^s have no tractable exact computation (atomic infimum, duality
-supremum); they are replaced by one-sided computable surrogates
-(u2_upper_bound, xnorm_lower_bound) so inequality checks remain valid
-necessary-condition tests.
+U^2 has no tractable exact computation (atomic infimum); it is replaced by
+the one-sided u2_upper_bound.  The X^s norm of a Duhamel integral is a
+duality supremum over v in Y^{-s} (Hadac-Herr-Koch); dual_quotient is one
+term of it, and the harness samples the supremum from below.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -84,8 +87,9 @@ class SpaceTimePath:
     """A SpectralField per time node.
 
     A path built by ``free_steps`` stores its profile ``steps`` and ``cuts``
-    and builds its stacked ``coeffs`` only when they are read; every other
-    path stores its ``coeffs`` and has ``steps = cuts = None``.
+    and builds its stacked ``coeffs`` only when they are read.  A static
+    path from ``from_fields`` holds its one field as ``static``.  Every other
+    path stores its ``coeffs`` and has ``steps = cuts = static = None``.
     """
 
     grid: TimeGrid
@@ -94,6 +98,7 @@ class SpaceTimePath:
     _coeffs: np.ndarray | None = field(default=None, repr=False)  # (n_t, 2M+1, 2M+1, 2M+1)
     steps: np.ndarray | None = field(default=None, repr=False)  # (k, 2M+1, 2M+1, 2M+1)
     cuts: np.ndarray | None = field(default=None, repr=False)  # (k - 1,) node indices
+    static: SpectralField | None = field(default=None, repr=False)  # the one field
 
     def __init__(self, grid: TimeGrid, metric: TorusMetric, bandlimit: int, coeffs):
         nn = 2 * bandlimit + 1
@@ -103,10 +108,11 @@ class SpaceTimePath:
         if not np.all(np.isfinite(c.view(np.float64))):
             raise ValueError("path contains NaN or Inf")
         c.flags.writeable = False
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "metric", metric)
-        object.__setattr__(self, "bandlimit", bandlimit)
-        object.__setattr__(self, "_coeffs", c)
+        self._set(grid=grid, metric=metric, bandlimit=bandlimit, _coeffs=c)
+
+    def _set(self, **parts):
+        for name, value in parts.items():
+            object.__setattr__(self, name, value)
 
     @classmethod
     def free_steps(cls, grid: TimeGrid, metric: TorusMetric, bandlimit: int, steps,
@@ -131,11 +137,7 @@ class SpaceTimePath:
         steps.flags.writeable = False
         cuts.flags.writeable = False
         path = cls.__new__(cls)
-        object.__setattr__(path, "grid", grid)
-        object.__setattr__(path, "metric", metric)
-        object.__setattr__(path, "bandlimit", bandlimit)
-        object.__setattr__(path, "steps", steps)
-        object.__setattr__(path, "cuts", cuts)
+        path._set(grid=grid, metric=metric, bandlimit=bandlimit, steps=steps, cuts=cuts)
         return path
 
     @property
@@ -173,9 +175,17 @@ class SpaceTimePath:
 
     @classmethod
     def from_fields(cls, grid: TimeGrid, fields: list[SpectralField]) -> "SpaceTimePath":
+        """Frame k is fields[k].  A list repeating one object ([f] * n) is a
+        static path that holds f once, its coeffs a read-only broadcast view;
+        equal but distinct fields are stacked into a stored path."""
         if len(fields) != grid.n:
             raise ValueError("need one field per time node")
         first = fields[0]
+        if all(f is first for f in fields):
+            path = cls.__new__(cls)
+            path._set(grid=grid, metric=first.metric, bandlimit=first.bandlimit, static=first,
+                      _coeffs=np.broadcast_to(first.coeffs, (grid.n,) + first.coeffs.shape))
+            return path
         for f in fields[1:]:
             first._check_compatible(f)
         return cls(grid, first.metric, first.bandlimit,
@@ -185,7 +195,13 @@ class SpaceTimePath:
         return SpectralField(self.metric, self.bandlimit, self.coeffs[k])
 
     def grid_frames(self, oversample: int):
-        """Each frame on the oversample*(2M+1) grid, a GridField per time node in order."""
+        """Each frame on the oversample*(2M+1) grid, a GridField per time node
+        in order.  A static path transforms its field once and yields that
+        read-only grid at every node."""
+        if self.static is not None:
+            g = to_grid(self.static, oversample)
+            g.samples.flags.writeable = False
+            return itertools.repeat(g, self.grid.n)
         return (to_grid(self.frame(k), oversample) for k in range(self.grid.n))
 
     def map_frames(self, fn) -> "SpaceTimePath":
@@ -261,7 +277,7 @@ def flow_phases(metric: TorusMetric, grid: TimeGrid, q: np.ndarray) -> np.ndarra
     """
     q_values, q_index = np.unique(q, return_inverse=True)
     phases = np.exp(-1j * metric.laplace_scale * grid.times[:, None] * q_values)
-    return phases[:, q_index.ravel()].reshape((grid.n,) + np.shape(q))
+    return np.take(phases, q_index.ravel(), axis=1).reshape((grid.n,) + np.shape(q))
 
 
 @lru_cache(maxsize=8)
@@ -298,61 +314,34 @@ def y_norm(path: SpaceTimePath, s: float) -> float:
     the steps and the lab-frame coefficients are never built.  A static
     path takes V^2 = |f_xi| kappa(Q(xi)), with kappa the V^2 norm of the
     unit phase path, computed once per (metric, grid, bandlimit) on the
-    distinct values of Q.  Any other path is twisted and runs the dynamic
-    program on every row.
+    distinct values of Q, taken from its held field.  Any other path is
+    twisted and runs the dynamic program on every row, also when its rows
+    happen to be equal.
     """
     if path.steps is not None:
         v2 = _v2_batch(path.steps.reshape(len(path.steps), -1))
+    elif path.static is not None:
+        q_index = _q_classes(path.metric, path.bandlimit)[1]
+        v2 = (np.abs(path.static.coeffs.ravel())
+              * _kappa(path.metric, path.grid, path.bandlimit)[q_index])
     else:
-        flat = path.coeffs.reshape(path.grid.n, -1)
-        if all(np.array_equal(row, flat[0]) for row in flat[1:]):
-            q_index = _q_classes(path.metric, path.bandlimit)[1]
-            v2 = np.abs(flat[0]) * _kappa(path.metric, path.grid, path.bandlimit)[q_index]
-        else:
-            v2 = _v2_batch(_twisted_coeffs(path))
+        v2 = _v2_batch(_twisted_coeffs(path))
     w = bracket_sq(path.metric, path.bandlimit).ravel() ** s
     return float(np.sqrt(np.sum(w * v2**2)))
 
 
 def duality_pairing(f: SpaceTimePath, v: SpaceTimePath) -> complex:
-    """int_0^T int f vbar dx dt: Parseval in x, left Riemann sum in t."""
+    """int_0^T int f vbar dx dt: Parseval in x, left Riemann sum in t.  A
+    static f pairs its field with v's time integral, so a factored v's
+    coeffs are never built."""
     f._check_same_grid(v)
-    s = np.sum(f.coeffs * np.conj(v.coeffs))
-    return complex(f.grid.dt * s)
+    if f.static is not None:
+        return complex(np.sum(f.static.coeffs * np.conj(v.time_integral())))
+    return complex(f.grid.dt * np.sum(f.coeffs * np.conj(v.coeffs)))
 
 
-def _random_candidate(path: SpaceTimePath, rng: np.random.Generator, kind: str) -> SpaceTimePath:
-    """A random dual candidate: free flow or twisted step path on f's grid."""
-    n_t = path.grid.n
-    nn = 2 * path.bandlimit + 1
-
-    def rand_field():
-        return (rng.standard_normal((nn, nn, nn)) + 1j * rng.standard_normal((nn, nn, nn)))
-
-    if kind == "free_flow":
-        steps, cuts = rand_field()[None], ()
-    else:  # twisted step path: piecewise-constant in the twisted coordinates
-        n_blocks = min(n_t, int(rng.integers(2, max(3, n_t // 2) + 1)))
-        cuts = np.sort(rng.choice(np.arange(1, n_t), size=n_blocks - 1, replace=False))
-        steps = np.stack([rand_field() for _ in range(n_blocks)])
-    return SpaceTimePath.free_steps(path.grid, path.metric, path.bandlimit, steps, cuts)
-
-
-def xnorm_lower_bound(f: SpaceTimePath, s: float, candidate_count: int, seed: int) -> float:
-    """Sampled duality lower bound for the X^s norm of f's Duhamel integral.
-
-    Maximizes |<f, v>| over random v normalized to y_norm(v, -s) = 1; any
-    sampled sup underestimates the true duality sup, so this is one-sided.
-    """
-    if candidate_count < 1:
-        raise ValueError("candidate_count must be >= 1")
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    kinds = ["free_flow", "step"]
-    for i in range(candidate_count):
-        v = _random_candidate(f, rng, kinds[i % 2])
-        yn = y_norm(v, -s)
-        if yn == 0:
-            continue
-        best = max(best, abs(duality_pairing(f, v)) / yn)
-    return best
+def dual_quotient(f: SpaceTimePath, v: SpaceTimePath, s: float) -> float:
+    """|<f, v>| / ||v||_{Y^{-s}}, 0 when v = 0: one sampled term of the
+    duality supremum that gives the X^s norm of f's Duhamel integral."""
+    yn = y_norm(v, -s)
+    return abs(duality_pairing(f, v)) / yn if yn > 0 else 0.0

@@ -107,7 +107,7 @@ def test_sampler_amplitude_normalization():
 def test_sample_path_kinds():
     grid = TimeGrid(0.5, 8)
     rng = np.random.default_rng(2)
-    for kind in ("gaussian_shell", "free_flow", "step_atom", "solver_output"):
+    for kind in ("gaussian_shell", "free_flow", "step_atom"):
         path = sample_path(SamplerSpec(kind, support="ball"), METRIC, 2, 2, grid, rng)
         assert path.coeffs.shape == (8, 5, 5, 5)
     with pytest.raises(ValueError):

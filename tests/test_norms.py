@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 
 from torus_nls.errors import GridMismatch
 from torus_nls.evolution import free_flow_path
-from torus_nls.lattice import SpectralField, TorusMetric, bracket_sq, q_grid
+from torus_nls.lattice import SpectralField, TorusMetric, bracket_sq, q_grid, to_grid
 from torus_nls.littlewood_paley import dyadic_ladder, project_dyadic
-from torus_nls.harness.samplers import SamplerSpec, sample_path
+from torus_nls.harness.samplers import SamplerSpec, sample_path, xnorm_lower_bound
 from torus_nls.norms import (ModePath, SpaceTimePath, TimeGrid, _kappa,
-                             _random_candidate, _twisted_coeffs, _v2_batch,
-                             duality_pairing, flow_phases, sobolev_norm,
-                             spacetime_lp, u2_upper_bound, v2_norm,
-                             xnorm_lower_bound, y_norm)
+                             _twisted_coeffs, _v2_batch, duality_pairing,
+                             flow_phases, sobolev_norm, spacetime_lp,
+                             u2_upper_bound, v2_norm, y_norm)
 
 METRIC = TorusMetric((1.0, np.sqrt(2.0), np.sqrt(3.0)))
 
@@ -31,6 +30,15 @@ def random_path(M=2, n_t=8, T=1.0, seed=0):
     nn = 2 * M + 1
     c = rng.standard_normal((n_t, nn, nn, nn)) + 1j * rng.standard_normal((n_t, nn, nn, nn))
     return SpaceTimePath(TimeGrid(T, n_t), METRIC, M, c)
+
+
+def many_step_path(grid, metric, M, rng):
+    """A free_steps path with a drawn block count in 2..max(2, n_t // 2)."""
+    nn = 2 * M + 1
+    k = int(rng.integers(2, max(2, grid.n // 2) + 1))
+    cuts = np.sort(rng.choice(np.arange(1, grid.n), size=k - 1, replace=False))
+    steps = rng.standard_normal((k, nn, nn, nn)) + 1j * rng.standard_normal((k, nn, nn, nn))
+    return SpaceTimePath.free_steps(grid, metric, M, steps, cuts)
 
 
 def brute_v2(values):
@@ -140,11 +148,14 @@ def full_dp_y_norm(path, s):
 @pytest.mark.parametrize("theta", [(1.0, 1.0, 1.0), (1.0, np.sqrt(2.0), np.sqrt(3.0))])
 def test_y_norm_static_path_matches_full_dp(theta):
     metric = TorusMetric(theta)
-    f = random_field(3, seed=20)
+    f = SpectralField(metric, 3, random_field(3, seed=20).coeffs)
     coeffs = np.broadcast_to(f.coeffs, (32,) + f.coeffs.shape)
-    path = SpaceTimePath(TimeGrid(0.5, 32), metric, 3, coeffs)
-    for s in (-0.5, 0.0, 1.25):
-        assert y_norm(path, s) == pytest.approx(full_dp_y_norm(path, s), rel=1e-12)
+    stored = SpaceTimePath(TimeGrid(0.5, 32), metric, 3, coeffs)
+    static = SpaceTimePath.from_fields(TimeGrid(0.5, 32), [f] * 32)
+    assert static.static is f
+    for path in (stored, static):
+        for s in (-0.5, 0.0, 1.25):
+            assert y_norm(path, s) == pytest.approx(full_dp_y_norm(path, s), rel=1e-12)
 
 
 def test_y_norm_step_atom_runs_on_its_blocks():
@@ -154,7 +165,7 @@ def test_y_norm_step_atom_runs_on_its_blocks():
         path = sample_path(SamplerSpec("step_atom", support="ball"), metric, 3, 3, grid,
                            np.random.default_rng(21))
         assert path.steps.shape == (4, 7, 7, 7)  # the sampler's default block count
-        candidate = _random_candidate(path, np.random.default_rng(26), "step")
+        candidate = many_step_path(grid, metric, 3, np.random.default_rng(26))
         for atom in (path, candidate):
             for s in (-0.5, 0.5):
                 assert y_norm(atom, s) == pytest.approx(full_dp_y_norm(atom, s), rel=1e-12)
@@ -163,7 +174,8 @@ def test_y_norm_step_atom_runs_on_its_blocks():
 def test_y_norm_free_flow_runs_on_one_row():
     path = free_flow_path(random_field(3, seed=22), TimeGrid(0.5, 32))
     assert path.steps.shape == (1, 7, 7, 7)
-    candidate = _random_candidate(path, np.random.default_rng(27), "free_flow")
+    candidate = sample_path(SamplerSpec("free_flow", support="ball"), METRIC, 3, 3,
+                            path.grid, np.random.default_rng(27))
     assert candidate.steps.shape == (1, 7, 7, 7)
     for flow in (path, candidate):
         assert y_norm(flow, 0.5) == pytest.approx(full_dp_y_norm(flow, 0.5), rel=1e-12)
@@ -187,6 +199,7 @@ def test_y_norm_varying_paths_run_the_full_dp():
 def test_free_steps_coefficients():
     grid = TimeGrid(0.5, 16)
     flow = flow_phases(METRIC, grid, q_grid(METRIC, 2))
+    assert flow.flags.c_contiguous
     blocks = np.stack([random_field(2, seed=k).coeffs for k in range(3)])
     cuts = np.array([5, 11])
     block_of = np.searchsorted(cuts, np.arange(grid.n), side="right")
@@ -213,7 +226,7 @@ def test_free_steps_coefficients():
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([2, 8, 64]), st.sampled_from([(1.0, 1.0, 1.0), (1.0, 2.0, 3.0),
                                                      (1.0, np.sqrt(2.0), np.sqrt(3.0))]),
-       st.sampled_from(["free_flow", "step_atom", "free_flow_dual", "step_dual"]),
+       st.sampled_from(["free_flow", "step_atom", "many_steps"]),
        st.integers(0, 2**32 - 1))
 def test_free_steps_builds_coeffs_on_read(n_t, theta, kind, seed):
     metric, grid = TorusMetric(theta), TimeGrid(0.5, n_t)
@@ -226,7 +239,7 @@ def test_free_steps_builds_coeffs_on_read(n_t, theta, kind, seed):
     elif kind == "step_atom":
         path = sample_path(SamplerSpec("step_atom", support="ball"), metric, 2, 2, grid, rng)
     else:
-        path = _random_candidate(free_flow_path(u0, grid), rng, kind.removesuffix("_dual"))
+        path = many_step_path(grid, metric, 2, rng)
     # y_norm and the time integral come from the steps; nothing n_t-sized is built
     y_norm(path, 0.5)
     integral = path.time_integral()
@@ -257,6 +270,29 @@ def test_free_steps_rejects_non_finite_steps():
         blocks[1, 0, 2, 1] = bad
         with pytest.raises(ValueError, match="NaN or Inf"):
             SpaceTimePath.free_steps(grid, METRIC, 1, blocks, [3])
+
+
+def test_static_path_holds_its_one_field():
+    grid = TimeGrid(0.5, 16)
+    f = random_field(2, seed=32)
+    static = SpaceTimePath.from_fields(grid, [f] * grid.n)
+    assert static.static is f and static.steps is None
+    assert not static.coeffs.flags.writeable
+    assert np.array_equal(static.coeffs, np.stack([f.coeffs] * grid.n))
+    for k, g in enumerate(static.grid_frames(2)):
+        assert not g.samples.flags.writeable
+        assert g.samples.tobytes() == to_grid(static.frame(k), 2).samples.tobytes()
+    # a static f pairs with the steps of a factored v, never building its coeffs
+    atom = many_step_path(grid, METRIC, 2, np.random.default_rng(33))
+    got = duality_pairing(static, atom)
+    assert atom._coeffs is None
+    want = grid.dt * np.sum(static.coeffs * np.conj(atom.coeffs))
+    assert abs(got - want) <= 1e-13 * abs(want)
+    # equal but distinct fields make a stored path with the same norm
+    stored = SpaceTimePath.from_fields(grid, [f.with_coeffs(f.coeffs) for _ in range(grid.n)])
+    assert stored.static is None
+    for s in (-0.5, 0.5):
+        assert y_norm(stored, s) == pytest.approx(y_norm(static, s), rel=1e-12)
 
 
 def test_kappa_is_computed_once_per_grid_and_read_only():
