@@ -122,7 +122,6 @@ def cmd_verify(args) -> int:
     env = RunEnvironment(
         metric=_metric(cfg),
         T=cfg.T,
-        n_time=cfg.n_time,
         oversample=cfg.oversample,
         profile=cfg.profile,
         unsafe=args.unsafe,

@@ -13,10 +13,9 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from ..errors import DegenerateSeries, GuardExceeded
+from ..errors import DegenerateSeries, GuardExceeded, NotFound
 from ..io import provenance
 from ..lattice import TorusMetric
-from ..norms import TimeGrid
 from .samplers import SamplerSpec
 
 # desk-scale guard: lattice at most 33^3 (M <= 16), time grid at most 512
@@ -52,8 +51,11 @@ class EstimateSpec:
         if not 0 <= self.slack < np.inf:
             raise ValueError(f"slack must be finite and >= 0, got {self.slack}")
 
-    def param(self, key, default=None):
-        return dict(self.params).get(key, default)
+    def param(self, key):
+        params = dict(self.params)
+        if key not in params:
+            raise NotFound(f"preset {self.name!r} has no param {key!r}")
+        return params[key]
 
 
 @dataclass(frozen=True)
@@ -62,15 +64,10 @@ class RunEnvironment:
 
     metric: TorusMetric = TorusMetric()
     T: float = 1.0
-    n_time: int = 16
     oversample: int = 2
     profile: str = "sharp"
     unsafe: bool = False
     allow_large_T: bool = False
-
-    @property
-    def grid(self) -> TimeGrid:
-        return TimeGrid(self.T, self.n_time)
 
     def check_guard(self, bandlimit: int):
         if self.unsafe:
@@ -79,8 +76,6 @@ class RunEnvironment:
             raise GuardExceeded(
                 f"bandlimit {bandlimit} exceeds desk guard {GUARD_BANDLIMIT} (use unsafe)"
             )
-        if self.n_time > GUARD_TIME:
-            raise GuardExceeded(f"time grid {self.n_time} exceeds desk guard {GUARD_TIME}")
         if self.T > 1.0 and not self.allow_large_T:
             raise GuardExceeded("harness runs require 0 < T <= 1 (use allow_large_T)")
 
@@ -122,7 +117,7 @@ def fit_scaling_slope(series) -> tuple[float, float, float]:
         raise DegenerateSeries("all (N, value) entries must be positive")
     x = np.log2([n for n, _ in pts])
     y = np.log2([v for _, v in pts])
-    (slope, intercept), res = np.polyfit(x, y, 1), 0.0
+    slope, intercept = np.polyfit(x, y, 1)
     fit = slope * x + intercept
     res = float(np.sqrt(np.mean((y - fit) ** 2)))
     return float(slope), float(intercept), res
@@ -195,7 +190,6 @@ def run_estimate(spec: EstimateSpec, env: RunEnvironment | None = None, evaluato
         environment={
             "metric": {"theta": list(env.metric.theta), "laplace_scale": env.metric.laplace_scale},
             "T": env.T,
-            "n_time": env.n_time,
             "oversample": env.oversample,
             "profile": env.profile,
             "seed": spec.seed,

@@ -61,6 +61,9 @@ def load_field(path) -> SpectralField:
         raise ConfigError(f"field file {path}: {exc}") from exc
 
 
+CSV_COLUMNS = ["preset", "N", "trial", "lhs", "rhs", "ratio"]
+
+
 def write_report(report, directory, name: str) -> tuple[Path, Path]:
     """Persist an ExperimentReport as <name>.json plus <name>.csv."""
     directory = Path(directory)
@@ -70,7 +73,7 @@ def write_report(report, directory, name: str) -> tuple[Path, Path]:
     doc = report.to_json_dict()
     jpath.write_text(json.dumps(doc, indent=2, default=str), encoding="utf-8")
     with cpath.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["preset", "N", "trial", "lhs", "rhs", "ratio"])
+        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
         writer.writeheader()
         for row in doc["ratios"]:
             writer.writerow({"preset": doc["preset"], **row})
@@ -87,9 +90,8 @@ def summarize_reports(directory) -> list[dict]:
 
 
 def write_summary(rows: list[dict], path) -> None:
-    fieldnames = ["preset", "N", "trial", "lhs", "rhs", "ratio"]
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
         writer.writeheader()
         for row in rows:
-            writer.writerow({k: row.get(k, "") for k in fieldnames})
+            writer.writerow({k: row.get(k, "") for k in CSV_COLUMNS})

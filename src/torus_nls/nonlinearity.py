@@ -176,12 +176,16 @@ def evaluate_F(z, nl: PowerNonlinearity):
 
 
 def apply_F(field: SpectralField, nl: PowerNonlinearity, oversample: int = 4) -> SpectralField:
-    """Evaluate F pointwise on an oversampled grid and truncate back to M."""
+    """Evaluate F pointwise on an oversampled grid and truncate back to M;
+    raises FloatingPointError when F(u) overflows to non-finite values."""
     if oversample < 2:
         raise GridTooSmall("apply_F requires oversample >= 2")
     grid = to_grid(field, oversample)
     vals = evaluate_F(grid.samples, nl)
-    return to_spectral(GridField(field.metric, vals), field.bandlimit)
+    try:
+        return to_spectral(GridField(field.metric, vals), field.bandlimit)
+    except ValueError as exc:  # the truncated field rejects NaN and Inf
+        raise FloatingPointError(f"F(u) is not finite: {exc}") from exc
 
 
 def bony_partial_sum(

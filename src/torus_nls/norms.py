@@ -205,6 +205,9 @@ class SpaceTimePath:
         return (to_grid(self.frame(k), oversample) for k in range(self.grid.n))
 
     def map_frames(self, fn) -> "SpaceTimePath":
+        """fn of every frame; a static path calls fn once and stays static."""
+        if self.static is not None:
+            return SpaceTimePath.from_fields(self.grid, [fn(self.static)] * self.grid.n)
         return SpaceTimePath.from_fields(self.grid, [fn(self.frame(k)) for k in range(self.grid.n)])
 
     def mode_path(self, xi) -> ModePath:
@@ -224,10 +227,14 @@ def sobolev_norm(field_: SpectralField, s: float) -> float:
 
 
 def spacetime_lp(path: SpaceTimePath, p_t: float, p_x: float, oversample: int = 2) -> float:
-    """L^{p_t}_t L^{p_x}_x norm: left-endpoint Riemann sum in t, grid quadrature in x."""
+    """L^{p_t}_t L^{p_x}_x norm: left-endpoint Riemann sum in t, grid quadrature in x.
+    A static path takes its one field's L^{p_x} norm once."""
     if not (p_t >= 1 and p_x >= 1):  # also rejects NaN
         raise ValueError("Lebesgue exponents must be >= 1")
-    per_t = np.array([g.lp_norm(p_x) for g in path.grid_frames(oversample)])
+    if path.static is not None:
+        per_t = np.full(path.grid.n, to_grid(path.static, oversample).lp_norm(p_x))
+    else:
+        per_t = np.array([g.lp_norm(p_x) for g in path.grid_frames(oversample)])
     if np.isinf(p_t):
         return float(per_t.max())
     return float((path.grid.dt * np.sum(per_t**p_t)) ** (1.0 / p_t))

@@ -79,7 +79,10 @@ def _march(u0, nl, grid, oversample, tol, max_iter
         v = a - half * E * F_prev  # Lawson-Euler guess: F(u_k) ~ E F(u_{k-1})
         last = np.inf
         for it in range(1, max_iter + 1):
-            F_v = apply_F(u0.with_coeffs(v), nl, oversample).coeffs
+            try:
+                F_v = apply_F(u0.with_coeffs(v), nl, oversample).coeffs
+            except FloatingPointError:  # F(v) overflowed, so the increment is not finite
+                raise NoConvergence(max_iter, np.inf, iterations=it, frame=k) from None
             nxt = a - half * F_v
             d = sobolev_norm(u0.with_coeffs(nxt - v), s) if np.all(np.isfinite(nxt)) else np.inf
             if d < frame_tol:
@@ -110,8 +113,9 @@ def march_solve(
     v <- E(u_{k-1} - i(dt/2)F(u_{k-1})) - i(dt/2)F(v) until the H^{s_c}
     increment is below tol/(n-1), so the path's Duhamel residual
     ||Phi(u) - u||_{L^inf_t H^{s_c}} is below tol.  Frame 0 is u0.  Raises
-    NoConvergence naming the frame when an increment is not finite or stops
-    decreasing, or when max_iter iterations do not reach the tolerance.
+    NoConvergence naming the frame when an increment is not finite (F of the
+    iterate included) or stops decreasing, or when max_iter iterations do
+    not reach the tolerance; FloatingPointError when F(u0) is not finite.
     """
     return _march(u0, nl, grid, oversample, tol, max_iter)[0]
 
@@ -134,7 +138,8 @@ def picard_solve(
     evaluates no F.  initial="zero" starts from the zero path -- useful as a
     uniqueness probe (both seeds must land on the same fixed point).  Raises
     NoConvergence when the iterates diverge, when max_iter iterations do not
-    reach tol, or when the final residual ||Phi(u*) - u*|| is above tol.
+    reach tol, or when the final residual ||Phi(u*) - u*|| is above tol;
+    FloatingPointError when F of an iterate is not finite.
     """
     if tol <= 0 or max_iter < 1:
         raise ValueError("need tol > 0 and max_iter >= 1")

@@ -239,6 +239,29 @@ def test_cli_verify_raises_the_T_guard(tmp_path):
     assert doc["environment"]["T"] == 2.0
 
 
+def test_cli_verify_runs_each_preset_on_its_own_time_grid(tmp_path):
+    # the config's n_time is the solve grid: verify neither guards nor reports it
+    cfg = _write_cfg(tmp_path, n_time=600)
+    assert cli_main(["--config", str(cfg), "verify", "frac_product", "--trials", "1"]) == 0
+    assert cli_main(["--config", str(cfg), "verify", "strichartz_L6", "--trials", "1"]) in (0, 1)
+    doc = json.loads((tmp_path / "out" / "strichartz_L6.json").read_text(encoding="utf-8"))
+    assert dict(doc["spec"]["params"])["n_time"] == 12
+    assert "n_time" not in doc["environment"]
+
+
+@pytest.mark.parametrize("find_T", [False, True], ids=["solve", "find_T"])
+def test_cli_solve_exits_3_when_F_overflows(tmp_path, find_T):
+    # F of the first marched iterate (1e40 data) or of the datum (1e200) is not finite
+    cfg = _write_cfg(tmp_path, p=2.0, bandlimit=2, n_time=4)
+    for amplitude in (1e40, 1e200):
+        c = np.zeros((5, 5, 5), dtype=complex)
+        c[2, 2, 2] = c[3, 2, 2] = amplitude
+        u0 = tmp_path / "u0.field.json"
+        save_field(SpectralField(METRIC, 2, c), u0)
+        argv = ["--config", str(cfg), "solve", "--u0", str(u0)]
+        assert cli_main(argv + ["--find-T"] * find_T) == 3
+
+
 def _field_doc(theta=(1.0, 1.0, 1.0), value=0.0):
     return {"metric": {"theta": list(theta), "laplace_scale": 1.0},
             "bandlimit": 0, "coeffs": [[value, 0.0]]}

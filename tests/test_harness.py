@@ -5,7 +5,7 @@ import pytest
 
 from torus_nls.errors import (DegenerateSeries, EpsilonTooLarge, GuardExceeded,
                               NotFound, SamplerDegenerate)
-from torus_nls.harness import (GUARD_BANDLIMIT, EstimateSpec, RunEnvironment,
+from torus_nls.harness import (GUARD_BANDLIMIT, GUARD_TIME, EstimateSpec, RunEnvironment,
                                SamplerSpec, cube_identity_check, epsilon_max,
                                fit_scaling_slope, get_evaluator, get_preset,
                                hoelder_exponents,
@@ -225,6 +225,14 @@ def test_guards():
         big_T.check_guard(2)
     RunEnvironment(T=2.0, allow_large_T=True).check_guard(2)
     RunEnvironment(unsafe=True).check_guard(10**6)
+    # the time grid a preset states is the one guarded, and unsafe lifts the guard
+    spec = get_preset("embedding_checks", trials=1)
+    spec = dataclasses.replace(spec, params=(("s", 0.5), ("n_time", GUARD_TIME + 1)))
+    with pytest.raises(GuardExceeded, match=f"time grid {GUARD_TIME + 1}"):
+        run_estimate(spec)
+    lhs, rhs = get_evaluator("embedding_checks")(spec, RunEnvironment(unsafe=True), 2,
+                                                 np.random.default_rng(0))
+    assert lhs > 0 and rhs > 0
 
 
 # -------------------------------------------------------------------- presets
@@ -238,6 +246,15 @@ def test_registry_size_and_lookup():
     assert all(s.seed == 5 for s in specs)
     with pytest.raises(NotFound):
         get_preset("no_such_estimate")
+    with pytest.raises(NotFound):
+        get_evaluator("no_such_estimate")
+
+
+def test_missing_param_names_the_preset_and_the_key():
+    spec = get_preset("cubic_main")
+    spec = dataclasses.replace(spec, params=(("N2", 2), ("n_time", 8)))
+    with pytest.raises(NotFound, match="preset 'cubic_main' has no param 'N3'"):
+        get_evaluator("cubic_main")(spec, RunEnvironment(), 2, np.random.default_rng(0))
 
 
 def test_get_preset_overrides():
@@ -257,7 +274,7 @@ def test_preset_smoke(name):
 def test_contraction_smoke():
     spec = get_preset("contraction", seed=1, trials=1)
     spec = dataclasses.replace(spec, dyadic_range=(1, 2, 4))
-    report = run_estimate(spec, RunEnvironment(T=0.25, n_time=8))
+    report = run_estimate(spec, RunEnvironment(T=0.25))
     assert report.verdict in ("pass", "fail", "inconclusive")
 
 

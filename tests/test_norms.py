@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from torus_nls.errors import GridMismatch
 from torus_nls.evolution import free_flow_path
-from torus_nls.lattice import SpectralField, TorusMetric, bracket_sq, q_grid, to_grid
+from torus_nls.lattice import (GridField, SpectralField, TorusMetric, bracket_sq, q_grid,
+                               to_grid)
 from torus_nls.littlewood_paley import dyadic_ladder, project_dyadic
 from torus_nls.harness.samplers import SamplerSpec, sample_path, xnorm_lower_bound
 from torus_nls.norms import (ModePath, SpaceTimePath, TimeGrid, _kappa,
@@ -272,7 +273,7 @@ def test_free_steps_rejects_non_finite_steps():
             SpaceTimePath.free_steps(grid, METRIC, 1, blocks, [3])
 
 
-def test_static_path_holds_its_one_field():
+def test_static_path_holds_its_one_field(monkeypatch):
     grid = TimeGrid(0.5, 16)
     f = random_field(2, seed=32)
     static = SpaceTimePath.from_fields(grid, [f] * grid.n)
@@ -293,6 +294,17 @@ def test_static_path_holds_its_one_field():
     assert stored.static is None
     for s in (-0.5, 0.5):
         assert y_norm(stored, s) == pytest.approx(y_norm(static, s), rel=1e-12)
+    # one L^p norm and one call of a mapped function serve every node, bit for bit
+    calls = []
+    lp_norm = GridField.lp_norm
+    monkeypatch.setattr(GridField, "lp_norm", lambda g, p: calls.append(p) or lp_norm(g, p))
+    for p_t in (4.0, np.inf):
+        assert spacetime_lp(static, p_t, 3.0) == spacetime_lp(stored, p_t, 3.0)
+    assert len(calls) == 2 * (1 + grid.n)
+    calls.clear()
+    mapped = static.map_frames(lambda g: calls.append(g) or 2.0 * g)
+    assert len(calls) == 1 and mapped.static is not None
+    assert mapped.coeffs.tobytes() == stored.map_frames(lambda g: 2.0 * g).coeffs.tobytes()
 
 
 def test_kappa_is_computed_once_per_grid_and_read_only():
