@@ -16,10 +16,10 @@ import numpy as np
 
 from ..errors import GuardExceeded, NotFound
 from ..lattice import (GridField, SpectralField, fractional_multiplier,
-                       gradient_fields, to_grid, to_spectral)
+                       gradient_fields, slabs, to_grid, to_spectral)
 from ..littlewood_paley import project_dyadic, project_leq
-from ..nonlinearity import (PowerNonlinearity, bony_tail, evaluate_F, s_critical,
-                           wirtinger_orders)
+from ..nonlinearity import (PowerNonlinearity, bony_tail, evaluate_F,
+                           evaluate_F_in_place, s_critical, wirtinger_orders)
 from ..norms import (SpaceTimePath, TimeGrid, dual_quotient, sobolev_norm, spacetime_lp,
                      y_norm)
 from .estimates import GUARD_TIME, EstimateSpec, RunEnvironment
@@ -50,9 +50,15 @@ def _static(field: SpectralField, grid: TimeGrid) -> SpaceTimePath:
 
 
 def _hoelder_factor(h: SpectralField, alpha: float, M: int) -> SpectralField:
-    """G(h) = |h|^alpha, sampled on the 4x grid and truncated to bandlimit M."""
-    gh = to_grid(h, 4).samples
-    return to_spectral(GridField(h.metric, np.abs(gh) ** alpha + 0j), M)
+    """G(h) = |h|^alpha, sampled on the 4x grid (written in place, slab by
+    slab) and truncated to bandlimit M."""
+    grid = to_grid(h, 4)
+    flat = grid.samples.reshape(-1)
+    for part in slabs(flat.size, flat.itemsize):
+        r = np.abs(flat[part])
+        r **= alpha
+        flat[part] = r
+    return to_spectral(grid, M)
 
 
 # --------------------------------------------------------------------------
@@ -252,9 +258,12 @@ def contraction_ratio(
     u = random_field(replace(base, amplitude=amplitude), env.metric, M, M, rng)
     w = random_field(replace(base, amplitude=0.5 * amplitude), env.metric, M, M, rng)
     gu = to_grid(u, 4).samples
-    gw = to_grid(w, 4).samples
-    fdiff = evaluate_F(gu + gw, nl) - evaluate_F(gu, nl)
-    X = to_spectral(GridField(env.metric, fdiff), M)
+    grid_w = to_grid(w, 4)
+    gw = grid_w.samples
+    gw += gu                                # u + w, in w's grid
+    evaluate_F_in_place(gw, nl)
+    gw -= evaluate_F_in_place(gu, nl)       # F(u + w) - F(u)
+    X = to_spectral(grid_w, M)
     Xr = _static(X.with_coeffs(np.conj(X.coeffs[::-1, ::-1, ::-1])), grid)
 
     y_u = y_norm(_static(u, grid), s_c)

@@ -22,18 +22,30 @@ positions {0..M} and {n-M..n-1} of an axis of length n = oversample(2M+1):
 - to_spectral, to bandlimit b, transforms all n^2 lines of the last axis
   and keeps the 2b+1 wanted outputs of each, then the n(2b+1) lines of the
   middle axis that remain, keeping 2b+1 again, then the (2b+1)^2 lines of
-  the first axis.
+  the first axis.  Its first two passes run on slabs of first-axis rows of
+  about SLAB_BYTES each: a slab is transformed and trimmed along the last
+  axis, then along the middle axis, straight into the (n, 2b+1, 2b+1)
+  array, so no n^3 temporary is made and the samples are only read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import GridTooSmall, InvalidLebesgueExponent, NegativePowerAtZeroMode
 
 DEFAULT_LAPLACE_SCALE = 4.0 * np.pi**2
+SLAB_BYTES = 1 << 18  # working set of one slab of a pass over a grid (256 kB)
+
+
+def slabs(length: int, item_bytes: int) -> list[slice]:
+    """Slices cutting range(length) into runs of about SLAB_BYTES, at least
+    one item each; the last run may be shorter."""
+    step = max(1, SLAB_BYTES // item_bytes)
+    return [slice(i, min(i + step, length)) for i in range(0, length, step)]
 
 
 @dataclass(frozen=True)
@@ -188,6 +200,32 @@ def bracket_sq(metric: TorusMetric, bandlimit: int) -> np.ndarray:
     return 1.0 + q_grid(metric, bandlimit)
 
 
+@lru_cache(maxsize=8)
+def q_classes(metric: TorusMetric, bandlimit: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of Q on the coefficient cube, and the flat index
+    (int32) of each mode's value among them; both read-only."""
+    q_values, q_index = np.unique(q_grid(metric, bandlimit), return_inverse=True)
+    q_index = q_index.ravel().astype(np.int32)
+    q_values.flags.writeable = q_index.flags.writeable = False
+    return q_values, q_index
+
+
+@lru_cache(maxsize=16)
+def _bracket_power_classes(metric: TorusMetric, bandlimit: int, s: float) -> np.ndarray:
+    w = (1.0 + q_classes(metric, bandlimit)[0]) ** s
+    w.flags.writeable = False
+    return w
+
+
+def bracket_power(metric: TorusMetric, bandlimit: int, s: float) -> np.ndarray:
+    """<xi>^{2s} = (1 + Q(xi))^s on the coefficient cube.  The powers are
+    cached per (metric, bandlimit, s) on the distinct values of Q only, and
+    gathered into a new array: the same bits as bracket_sq(...) ** s."""
+    n = 2 * bandlimit + 1
+    w = _bracket_power_classes(metric, bandlimit, s)
+    return np.take(w, q_classes(metric, bandlimit)[1]).reshape(n, n, n)
+
+
 def fractional_multiplier(
     field_: SpectralField,
     s: float,
@@ -196,7 +234,7 @@ def fractional_multiplier(
     """Multiply coefficients by <xi>^s, or by Q(xi)^{s/2} (zero mode killed)."""
     M = field_.bandlimit
     if kind == "japanese_bracket":
-        mult = bracket_sq(field_.metric, M) ** (s / 2.0)
+        mult = bracket_power(field_.metric, M, s / 2.0)
         return field_.with_coeffs(field_.coeffs * mult)
     if kind == "homogeneous":
         q = q_grid(field_.metric, M)
@@ -261,9 +299,12 @@ def to_spectral(grid: GridField, bandlimit: int) -> SpectralField:
         raise GridTooSmall(f"grid n={n} cannot resolve bandlimit {bandlimit}")
     idx = np.arange(-bandlimit, bandlimit + 1) % n
     # fftn's passes in its order (last axis first); after each pass only the
-    # 2*bandlimit+1 kept outputs of every line go on to the next
-    spec = np.fft.fft(grid.samples, axis=2).take(idx, axis=2)
-    spec = np.fft.fft(spec, axis=1).take(idx, axis=1)
+    # 2*bandlimit+1 kept outputs of every line go on to the next.  The last-
+    # and middle-axis passes run one slab of first-axis rows at a time
+    spec = np.empty((n, idx.size, idx.size), dtype=np.complex128)
+    for rows in slabs(n, grid.samples[0].nbytes):
+        part = np.fft.fft(grid.samples[rows], axis=2).take(idx, axis=2)
+        np.fft.fft(part, axis=1).take(idx, axis=1, out=spec[rows])
     spec = np.fft.fft(spec, axis=0).take(idx, axis=0)
     spec /= n**3
     return SpectralField(grid.metric, bandlimit, spec)

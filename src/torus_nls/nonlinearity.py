@@ -1,5 +1,11 @@
 """The power nonlinearity F(z) = sign * |z|^p z and its linearizations.
 
+F itself has one kernel, evaluate_F_in_place, which overwrites a complex
+array with F of it slab by slab (r = |z|; r **= p; r *= sign; z *= r), so
+its real temporaries are slab-sized.  apply_F runs it on the grid its own
+to_grid made, bony_tail and the harness on grids they own, and evaluate_F
+on a copy of its argument.
+
 Wirtinger derivatives of F are computed in closed form.  Writing a
 derivative of order (a, b) as a sum of monomials c * |z|^{p+k} z^j zbar^m,
 every monomial shares the same total power p + k + j + m = p + 1 - a - b,
@@ -32,7 +38,7 @@ from itertools import chain, pairwise
 import numpy as np
 
 from .errors import DomainError, GridTooSmall, InvalidLebesgueExponent, UndefinedDerivative
-from .lattice import GridField, SpectralField, to_grid, to_spectral
+from .lattice import GridField, SpectralField, slabs, to_grid, to_spectral
 from .littlewood_paley import blended_projection, project_dyadic, project_leq
 
 
@@ -169,23 +175,46 @@ def wirtinger(z, nl: PowerNonlinearity, order: tuple[int, int] = (0, 0)):
     return complex(out[0]) if z_arr.ndim == 0 else out
 
 
+def evaluate_F_in_place(z: np.ndarray, nl: PowerNonlinearity) -> np.ndarray:
+    """Overwrite the C-contiguous complex array z with sign * |z|^p z and
+    return it; same bits as evaluating that expression into a new array."""
+    if not z.flags.c_contiguous:
+        raise ValueError("evaluate_F_in_place needs a C-contiguous array")
+    flat = z.reshape(-1)
+    # a 0-d z stays 0-d, so numpy takes |z|^p with its scalar power, as it
+    # does for a scalar expression
+    parts = [flat[rows] for rows in slabs(flat.size, flat.itemsize)] if z.ndim else [z[...]]
+    for v in parts:
+        r = np.abs(v)
+        r **= nl.p
+        r *= nl.sign
+        v *= r
+    return z
+
+
 def evaluate_F(z, nl: PowerNonlinearity):
-    """Pointwise sign * |z|^p z."""
-    z_arr = np.asarray(z, dtype=np.complex128)
-    return nl.sign * np.abs(z_arr) ** nl.p * z_arr
+    """Pointwise sign * |z|^p z of a scalar or an array of any shape; z is
+    never written."""
+    return evaluate_F_in_place(np.array(z, dtype=np.complex128, order="C"), nl)[()]
 
 
 def apply_F(field: SpectralField, nl: PowerNonlinearity, oversample: int = 4) -> SpectralField:
     """Evaluate F pointwise on an oversampled grid and truncate back to M;
-    raises FloatingPointError when F(u) overflows to non-finite values."""
+    raises FloatingPointError when F(u) overflows to non-finite values.
+
+    F is evaluated in place on the samples of the grid to_grid made, so one
+    call holds that grid, slab-sized temporaries and to_spectral's
+    (n, 2M+1, 2M+1) array."""
     if oversample < 2:
         raise GridTooSmall("apply_F requires oversample >= 2")
     grid = to_grid(field, oversample)
-    vals = evaluate_F(grid.samples, nl)
-    try:
-        return to_spectral(GridField(field.metric, vals), field.bandlimit)
-    except ValueError as exc:  # the truncated field rejects NaN and Inf
-        raise FloatingPointError(f"F(u) is not finite: {exc}") from exc
+    # overflow is reported once, below, not as numpy warnings on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        evaluate_F_in_place(grid.samples, nl)
+        try:
+            return to_spectral(grid, field.bandlimit)
+        except ValueError as exc:  # the truncated field rejects NaN and Inf
+            raise FloatingPointError(f"F(u) is not finite: {exc}") from exc
 
 
 def bony_partial_sum(
@@ -215,9 +244,9 @@ def bony_tail(
     """||F(g) - F(g_{<=N})||_{L^q(T^3)} on the oversampled grid."""
     if not 1.0 <= q < 1.5:
         raise InvalidLebesgueExponent(f"q must lie in [1, 3/2), got {q}")
-    full = to_grid(field, oversample).samples
-    low = to_grid(project_leq(field, N, profile), oversample).samples
-    return GridField(field.metric, evaluate_F(full, nl) - evaluate_F(low, nl)).lp_norm(q)
+    full = evaluate_F_in_place(to_grid(field, oversample).samples, nl)
+    full -= evaluate_F_in_place(to_grid(project_leq(field, N, profile), oversample).samples, nl)
+    return GridField(field.metric, full).lp_norm(q)
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import GridMismatch
-from .lattice import SpectralField, TorusMetric, bracket_sq, q_grid, to_grid
+from .lattice import (SpectralField, TorusMetric, bracket_power, q_classes, q_grid,
+                      to_grid)
 
 
 @dataclass(frozen=True)
@@ -166,7 +167,7 @@ class SpaceTimePath:
         """
         if self.steps is None:
             return self.grid.dt * self.coeffs.sum(axis=0)
-        q_values, q_index = _q_classes(self.metric, self.bandlimit)
+        q_values, q_index = q_classes(self.metric, self.bandlimit)
         starts = np.concatenate(([0], self.cuts))
         block_sums = np.add.reduceat(flow_phases(self.metric, self.grid, q_values), starts)
         flat = np.einsum("jm,jm->m", block_sums[:, q_index],
@@ -222,7 +223,7 @@ class SpaceTimePath:
 
 def sobolev_norm(field_: SpectralField, s: float) -> float:
     """H^s norm (sum_xi <xi>^{2s} |u_hat|^2)^{1/2} with <xi>^2 = 1 + Q(xi)."""
-    w = bracket_sq(field_.metric, field_.bandlimit) ** s
+    w = bracket_power(field_.metric, field_.bandlimit, s)
     return float(np.sqrt(np.sum(w * np.abs(field_.coeffs) ** 2)))
 
 
@@ -288,20 +289,10 @@ def flow_phases(metric: TorusMetric, grid: TimeGrid, q: np.ndarray) -> np.ndarra
 
 
 @lru_cache(maxsize=8)
-def _q_classes(metric: TorusMetric, bandlimit: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of Q on the coefficient cube, and the flat index
-    (int32) of each mode's value among them; both read-only."""
-    q_values, q_index = np.unique(q_grid(metric, bandlimit), return_inverse=True)
-    q_index = q_index.ravel().astype(np.int32)
-    q_values.flags.writeable = q_index.flags.writeable = False
-    return q_values, q_index
-
-
-@lru_cache(maxsize=8)
 def _kappa(metric: TorusMetric, grid: TimeGrid, bandlimit: int) -> np.ndarray:
-    """kappa on the distinct values of Q (as _q_classes orders them),
+    """kappa on the distinct values of Q (as q_classes orders them),
     read-only: the V^2 norm of the unit phase path e^{ictQ}."""
-    kappa = _v2_batch(flow_phases(metric, grid, _q_classes(metric, bandlimit)[0]))
+    kappa = _v2_batch(flow_phases(metric, grid, q_classes(metric, bandlimit)[0]))
     kappa.flags.writeable = False
     return kappa
 
@@ -328,12 +319,12 @@ def y_norm(path: SpaceTimePath, s: float) -> float:
     if path.steps is not None:
         v2 = _v2_batch(path.steps.reshape(len(path.steps), -1))
     elif path.static is not None:
-        q_index = _q_classes(path.metric, path.bandlimit)[1]
+        q_index = q_classes(path.metric, path.bandlimit)[1]
         v2 = (np.abs(path.static.coeffs.ravel())
               * _kappa(path.metric, path.grid, path.bandlimit)[q_index])
     else:
         v2 = _v2_batch(_twisted_coeffs(path))
-    w = bracket_sq(path.metric, path.bandlimit).ravel() ** s
+    w = bracket_power(path.metric, path.bandlimit, s).ravel()
     return float(np.sqrt(np.sum(w * v2**2)))
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -250,8 +251,9 @@ def test_cli_verify_runs_each_preset_on_its_own_time_grid(tmp_path):
 
 
 @pytest.mark.parametrize("find_T", [False, True], ids=["solve", "find_T"])
-def test_cli_solve_exits_3_when_F_overflows(tmp_path, find_T):
-    # F of the first marched iterate (1e40 data) or of the datum (1e200) is not finite
+def test_cli_solve_exits_3_when_F_overflows(tmp_path, capsys, find_T):
+    # F of the first marched iterate (1e40 data) or of the datum (1e200) is not
+    # finite; the exit is quiet, with no numpy RuntimeWarning on the way
     cfg = _write_cfg(tmp_path, p=2.0, bandlimit=2, n_time=4)
     for amplitude in (1e40, 1e200):
         c = np.zeros((5, 5, 5), dtype=complex)
@@ -259,7 +261,11 @@ def test_cli_solve_exits_3_when_F_overflows(tmp_path, find_T):
         u0 = tmp_path / "u0.field.json"
         save_field(SpectralField(METRIC, 2, c), u0)
         argv = ["--config", str(cfg), "solve", "--u0", str(u0)]
-        assert cli_main(argv + ["--find-T"] * find_T) == 3
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli_main(argv + ["--find-T"] * find_T) == 3
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert "RuntimeWarning" not in capsys.readouterr().err
 
 
 def _field_doc(theta=(1.0, 1.0, 1.0), value=0.0):

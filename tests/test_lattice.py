@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from torus_nls.errors import GridTooSmall, InvalidLebesgueExponent, NegativePowerAtZeroMode
 from torus_nls.lattice import (DEFAULT_LAPLACE_SCALE, GridField, SpectralField,
-                               TorusMetric, fractional_multiplier,
-                               gradient_fields, lattice_points, q_form, q_grid,
-                               to_grid, to_spectral)
+                               TorusMetric, bracket_power, bracket_sq,
+                               fractional_multiplier, gradient_fields, lattice_points,
+                               q_form, q_grid, slabs, to_grid, to_spectral)
 
 METRIC = TorusMetric((1.0, np.sqrt(2.0), np.sqrt(3.0)))
 
@@ -93,6 +93,15 @@ def test_transforms_equal_full_fft_property(M, oversample, seed, frac):
     assert np.array_equal(to_spectral(g, b).coeffs, full_fft_coeffs(g.samples, b))
 
 
+@pytest.mark.parametrize("M, oversample, rows", [(16, 4, [1]), (8, 4, [3, 2])])
+def test_to_spectral_slabs_equal_full_fft(M, oversample, rows):
+    # n = 132 takes one-row slabs; n = 68 takes slabs of 3 rows, the last of 2
+    g = to_grid(random_field(M, seed=20 + M), oversample)
+    sizes = [s.stop - s.start for s in slabs(g.n, g.samples[0].nbytes)]
+    assert sorted(set(sizes), reverse=True) == rows and sum(sizes) == g.n
+    assert np.array_equal(to_spectral(g, M).coeffs, full_fft_coeffs(g.samples, M))
+
+
 def test_to_spectral_leaves_samples_alone():
     g = to_grid(random_field(2, seed=11), 2)
     before = g.samples.copy()
@@ -100,6 +109,16 @@ def test_to_spectral_leaves_samples_alone():
     to_spectral(g, 2)
     to_spectral(g, 4)
     assert np.array_equal(g.samples, before)
+
+
+@pytest.mark.parametrize("metric", [METRIC, TorusMetric()])
+def test_bracket_power_is_the_cube_power(metric):
+    # bit for bit, on a metric whose Q values are all distinct and on one
+    # where many modes share a value; a caller's write reaches no cache
+    for s_ in (-0.5, 0.0, 0.5, 0.7, 2.0):
+        want = (bracket_sq(metric, 3) ** s_).view(np.uint64)
+        bracket_power(metric, 3, s_)[...] = 0.0
+        assert np.array_equal(bracket_power(metric, 3, s_).view(np.uint64), want)
 
 
 def test_parseval():

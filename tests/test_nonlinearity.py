@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from torus_nls.errors import (DomainError, InvalidLebesgueExponent,
                               UndefinedDerivative)
-from torus_nls.lattice import SpectralField, TorusMetric, to_grid
+from torus_nls.lattice import GridField, SpectralField, TorusMetric, to_grid, to_spectral
 from torus_nls.littlewood_paley import project_leq
 from torus_nls.nonlinearity import (PowerNonlinearity, apply_F,
                                     bony_partial_sum, bony_tail, evaluate_F,
@@ -162,6 +163,49 @@ def test_apply_F_cubic_convolution_oracle():
     got = apply_F(f, nl, oversample=4)
     want = brute_cubic_coeffs(f)
     assert np.max(np.abs(got.coeffs - want)) < 1e-12
+
+
+@pytest.mark.parametrize("oversample", [2, 3, 4])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.0])
+def test_apply_F_is_evaluate_F_between_the_transforms(p, sign, oversample):
+    f = random_field(3, seed=int(10 * p) + oversample)
+    nl = PowerNonlinearity(p, sign)
+    want = to_spectral(GridField(METRIC, evaluate_F(to_grid(f, oversample).samples, nl)), 3)
+    assert np.array_equal(apply_F(f, nl, oversample).coeffs.view(np.uint64),
+                          want.coeffs.view(np.uint64))
+
+
+def test_evaluate_F_writes_nothing_and_keeps_scalars():
+    z = random_field(1, seed=5).coeffs.T  # read-only and not C-contiguous
+    before = z.copy()
+    got = evaluate_F(z, PowerNonlinearity(2.5, -1))
+    assert np.array_equal(z, before)
+    assert np.array_equal(got, -np.abs(before) ** 2.5 * before)
+    for z0 in (1.5 - 2j, np.complex128(0.3j), 2.0):
+        out = evaluate_F(z0, PowerNonlinearity(2.5))
+        assert np.ndim(out) == 0 and out == np.abs(z0) ** 2.5 * z0
+
+
+def _peak_grids(fn, n):
+    """Peak traced bytes of a second call of fn, in n^3 complex grids."""
+    fn()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - base) / (16 * n**3)
+    finally:
+        tracemalloc.stop()
+
+
+def test_apply_F_holds_one_grid_and_to_spectral_slabs():
+    # evaluating F into new arrays held 3.25 and 1.25 grids: |z|, |z|^p, the
+    # product and the untrimmed first FFT pass were each a fresh n^3 array
+    f = random_field(8, seed=9)
+    g = to_grid(f, 4)
+    assert _peak_grids(lambda: apply_F(f, PowerNonlinearity(2.5), 4), g.n) <= 2.0
+    assert _peak_grids(lambda: to_spectral(g, 8), g.n) <= 1.0
 
 
 def test_apply_F_requires_oversampling():
