@@ -9,23 +9,16 @@ irrationality lives entirely in the dispersion form
 and the Laplacian acts on the exponential e_xi as -laplace_scale * Q(xi).
 The Fourier convention is unitary: sum_xi |u_hat(xi)|^2 = int |u|^2 dx.
 
-to_grid and to_spectral are pruned 3-D FFTs (Markel, "FFT pruning", 1971)
-that give the same bits as np.fft.ifftn / np.fft.fftn.  Those run one 1-D
-FFT per line of the last axis, then of the middle axis, then of the first;
-each line is transformed on its own, a line of zeros goes to zeros, and an
-output that is discarded is never read.  So, with the M+1 and M occupied
-positions {0..M} and {n-M..n-1} of an axis of length n = oversample(2M+1):
-
-- to_grid transforms, in place in its one n^3 array, the (2M+1)^2 lines of
-  the last axis that hold coefficients, then the (2M+1)n lines of the middle
-  axis that are not still zero, then all n^2 lines of the first axis.
-- to_spectral, to bandlimit b, transforms all n^2 lines of the last axis
-  and keeps the 2b+1 wanted outputs of each, then the n(2b+1) lines of the
-  middle axis that remain, keeping 2b+1 again, then the (2b+1)^2 lines of
-  the first axis.  Its first two passes run on slabs of first-axis rows of
-  about SLAB_BYTES each: a slab is transformed and trimmed along the last
-  axis, then along the middle axis, straight into the (n, 2b+1, 2b+1)
-  array, so no n^3 temporary is made and the samples are only read.
+to_grid and to_spectral are three matrix products each, the partial-DFT
+view of FFT pruning (Sorensen and Burrus, IEEE Trans. Signal Process.,
+1993): a field of bandlimit b occupies K = 2b+1 frequencies of an axis of
+length n, so each 1-D pass maps the K values of a line to its n samples,
+or back, by the (n, K) matrix W[x, k] = e^{2 pi i x k / n}, k = -b..b.
+The widest pass costs K n^3 multiply-adds against n^3 log n for an FFT,
+but runs at BLAS speed for any n (n = 34 = 2*17 at M = 8, oversample 2).
+Elementwise, to_grid is within 8 (K + log2 n) eps sum|c| of np.fft.ifftn
+of the zero-padded cube times n^3, and to_spectral within 8 (n + log2 n)
+eps mean|samples| of np.fft.fftn / n^3; log2 n is the FFTs' own rounding.
 """
 
 from __future__ import annotations
@@ -203,9 +196,10 @@ def bracket_sq(metric: TorusMetric, bandlimit: int) -> np.ndarray:
 @lru_cache(maxsize=8)
 def q_classes(metric: TorusMetric, bandlimit: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct values of Q on the coefficient cube, and the flat index
-    (int32) of each mode's value among them; both read-only."""
+    (intp, so a gather by it converts nothing) of each mode's value among
+    them; both read-only."""
     q_values, q_index = np.unique(q_grid(metric, bandlimit), return_inverse=True)
-    q_index = q_index.ravel().astype(np.int32)
+    q_index = q_index.ravel()
     q_values.flags.writeable = q_index.flags.writeable = False
     return q_values, q_index
 
@@ -268,43 +262,45 @@ def gradient_fields(field_: SpectralField) -> tuple[SpectralField, SpectralField
     return tuple(out)
 
 
+@lru_cache(maxsize=16)
+def _dft_matrix(b: int, n: int) -> np.ndarray:
+    """The read-only (n, 2b+1) matrix e^{2 pi i m / n}, m = (x k) mod n, x < n,
+    |k| <= b, as i^q e^{i phi} with q = round(4m/n), |phi| <= pi/4: within eps
+    of the exact roots, where an angle 2 pi m / n near 2 pi is off by a few eps."""
+    m = np.outer(np.arange(n), axis_range(b)) % n
+    q = (8 * m + n) // (2 * n)
+    w = np.array([1, 1j, -1, -1j])[q % 4] * np.exp(0.5j * np.pi * (4 * m - q * n) / n)
+    w.flags.writeable = False
+    return w
+
+
 def to_grid(field_: SpectralField, oversample: int = 1) -> GridField:
-    """Evaluate the field on an oversample*(2M+1) uniform grid per axis."""
+    """Evaluate the field on an oversample*(2M+1) uniform grid per axis,
+    samples[x] = sum_xi c_xi e^{2 pi i xi.x / n}: the last, middle and first
+    axis in turn; holds 1 + 1/oversample n^3 grids (samples, middle pass)."""
     if oversample < 1:
         raise GridTooSmall(f"oversample must be >= 1, got {oversample}")
     M = field_.bandlimit
-    n = oversample * (2 * M + 1)
-    samples = np.zeros((n, n, n), dtype=np.complex128)
-    idx = np.arange(-M, M + 1) % n
-    samples[np.ix_(idx, idx, idx)] = field_.coeffs
-    occ = (slice(0, M + 1), slice(n - M, n))  # positions of xi = 0..M, -M..-1
-    # ifftn's passes in its order (last axis first), each in place and only
-    # on the lines that hold non-zero data; the other lines stay zero
-    for a in occ:
-        for b in occ:
-            lines = samples[a, b]
-            np.fft.ifft(lines, axis=2, out=lines)
-    for a in occ:
-        lines = samples[a]
-        np.fft.ifft(lines, axis=1, out=lines)
-    np.fft.ifft(samples, axis=0, out=samples)
-    samples *= n**3
+    K = 2 * M + 1
+    n = oversample * K
+    W = _dft_matrix(M, n)
+    t = field_.coeffs.reshape(K * K, K) @ W.T  # last axis
+    t = W @ t.reshape(K, K, n)  # middle axis
+    samples = (W @ t.reshape(K, n * n)).reshape(n, n, n)  # first axis
     return GridField(field_.metric, samples)
 
 
 def to_spectral(grid: GridField, bandlimit: int) -> SpectralField:
-    """Truncate the grid field to bandlimit M (inverse of to_grid on bandlimited data)."""
+    """Truncate the grid field to bandlimit M (inverse of to_grid on bandlimited
+    data), c_xi = n^-3 sum_x samples[x] e^{-2 pi i xi.x / n}: the first, middle
+    and last axis in turn; only reads the samples and holds (2M+1)/n grids."""
     n = grid.n
     if n < 2 * bandlimit + 1:
         raise GridTooSmall(f"grid n={n} cannot resolve bandlimit {bandlimit}")
-    idx = np.arange(-bandlimit, bandlimit + 1) % n
-    # fftn's passes in its order (last axis first); after each pass only the
-    # 2*bandlimit+1 kept outputs of every line go on to the next.  The last-
-    # and middle-axis passes run one slab of first-axis rows at a time
-    spec = np.empty((n, idx.size, idx.size), dtype=np.complex128)
-    for rows in slabs(n, grid.samples[0].nbytes):
-        part = np.fft.fft(grid.samples[rows], axis=2).take(idx, axis=2)
-        np.fft.fft(part, axis=1).take(idx, axis=1, out=spec[rows])
-    spec = np.fft.fft(spec, axis=0).take(idx, axis=0)
+    K = 2 * bandlimit + 1
+    V = _dft_matrix(bandlimit, n).conj()
+    spec = V.T @ grid.samples.reshape(n, n * n)  # first axis
+    spec = V.T @ spec.reshape(K, n, n)  # middle axis
+    spec = (spec.reshape(K * K, n) @ V).reshape(K, K, K)  # last axis
     spec /= n**3
     return SpectralField(grid.metric, bandlimit, spec)

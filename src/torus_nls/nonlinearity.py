@@ -204,7 +204,7 @@ def apply_F(field: SpectralField, nl: PowerNonlinearity, oversample: int = 4) ->
 
     F is evaluated in place on the samples of the grid to_grid made, so one
     call holds that grid, slab-sized temporaries and to_spectral's
-    (n, 2M+1, 2M+1) array."""
+    (2M+1, n, n) first pass."""
     if oversample < 2:
         raise GridTooSmall("apply_F requires oversample >= 2")
     grid = to_grid(field, oversample)

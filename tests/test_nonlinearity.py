@@ -199,13 +199,21 @@ def _peak_grids(fn, n):
         tracemalloc.stop()
 
 
-def test_apply_F_holds_one_grid_and_to_spectral_slabs():
-    # evaluating F into new arrays held 3.25 and 1.25 grids: |z|, |z|^p, the
-    # product and the untrimmed first FFT pass were each a fresh n^3 array
+def test_apply_F_and_to_spectral_hold_at_most_their_grids():
+    # evaluating F into new arrays held 3.25 grids (|z|, |z|^p and the product
+    # were each a fresh n^3 array), and an untrimmed first pass 1.25 grids
     f = random_field(8, seed=9)
     g = to_grid(f, 4)
     assert _peak_grids(lambda: apply_F(f, PowerNonlinearity(2.5), 4), g.n) <= 2.0
     assert _peak_grids(lambda: to_spectral(g, 8), g.n) <= 1.0
+
+
+@pytest.mark.parametrize("oversample", [2, 4])
+def test_to_grid_holds_its_grid_and_one_pass(oversample):
+    # the samples plus the (2M+1, n, n) middle pass: 1 + 1/oversample grids
+    f = random_field(8, seed=9)
+    n = oversample * 17
+    assert _peak_grids(lambda: to_grid(f, oversample), n) <= 1 + 1 / oversample + 0.1
 
 
 def test_apply_F_requires_oversampling():
