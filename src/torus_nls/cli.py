@@ -1,9 +1,9 @@
 """Command-line surface.
 
 Subcommands: solve, verify, norms, field, report.  Exit codes: 0 success /
-verdict pass, 1 verdict fail, 2 usage or config error, 3 numerical error
-(NaN, guard, divergence).  Seed precedence: --seed flag > TORUS_NLS_SEED
-environment variable > config file.
+verdict pass, 1 verdict fail, 2 usage or config error (any bad parameter or
+path), 3 numerical error (non-finite values, desk guard, divergence).  Seed
+precedence: --seed flag > TORUS_NLS_SEED environment variable > config file.
 """
 
 from __future__ import annotations
@@ -22,8 +22,9 @@ from . import io as tio
 from .config import RunConfig, config_dict, load_config, save_config
 from .errors import (ConfigError, GuardExceeded, NoConvergence, NotFound,
                      SamplerDegenerate, TorusNlsError)
-from .harness import RunEnvironment, get_preset, preset_names, run_estimate
-from .lattice import SpectralField, TorusMetric, to_grid
+from .harness import (GUARD_BANDLIMIT, GUARD_TIME, RunEnvironment, get_preset, preset_names,
+                      run_estimate)
+from .lattice import SpectralField, to_grid
 from .nonlinearity import PowerNonlinearity
 from .norms import TimeGrid, sobolev_norm, v2_norm, y_norm
 from .solver import find_T, mass, picard_solve
@@ -40,10 +41,9 @@ def _resolve_seed(args, cfg: RunConfig) -> int:
     if getattr(args, "seed", None) is not None:
         source, seed = "--seed", args.seed
     elif (env := os.environ.get("TORUS_NLS_SEED")) is not None:
-        try:
-            source, seed = "TORUS_NLS_SEED", int(env)
-        except ValueError as exc:
-            raise ConfigError(f"TORUS_NLS_SEED must be an integer, got {env!r}") from exc
+        if not env.strip().isdecimal():
+            raise ConfigError(f"TORUS_NLS_SEED must be a non-negative integer, got {env!r}")
+        source, seed = "TORUS_NLS_SEED", int(env)
     else:
         return cfg.seed  # RunConfig has checked it
     if seed < 0:
@@ -55,22 +55,32 @@ def _load_cfg(args) -> RunConfig:
     return load_config(args.config) if args.config else RunConfig()
 
 
-def _metric(cfg: RunConfig) -> TorusMetric:
-    return TorusMetric(cfg.theta, cfg.laplace_scale)
+def _desk_guard(bandlimit: int, n_time: int = 0, oversample: int = 1) -> None:
+    """GuardExceeded (exit 3) before allocating past desk scale: verify's lattice and
+    time-grid limits, and grids of at most 4 (2 GUARD_BANDLIMIT + 1) points a side."""
+    over = [f"{name} {value} > {limit}" for name, value, limit in (
+        ("bandlimit", bandlimit, GUARD_BANDLIMIT), ("n_time", n_time, GUARD_TIME),
+        ("grid side", oversample * (2 * bandlimit + 1), 4 * (2 * GUARD_BANDLIMIT + 1)),
+    ) if value > limit]
+    if over:
+        raise GuardExceeded(f"{', '.join(over)}: past the desk guard")
 
 
 def cmd_solve(args) -> int:
     cfg = _load_cfg(args)
     seed = _resolve_seed(args, cfg)
-    metric = _metric(cfg)
+    _desk_guard(cfg.bandlimit, cfg.n_time, cfg.oversample)
     nl = PowerNonlinearity(cfg.p, cfg.sign)
     if args.u0:
         u0 = tio.load_field(args.u0)
+        if (u0.metric, u0.bandlimit) != (cfg.metric, cfg.bandlimit):
+            raise ConfigError(f"--u0 {args.u0} is on {u0.metric}, bandlimit {u0.bandlimit}; "
+                              f"the config is on {cfg.metric}, bandlimit {cfg.bandlimit}")
     else:
         rng = np.random.default_rng(seed)
         nn = 2 * cfg.bandlimit + 1
         c = 0.01 * (rng.standard_normal((nn,) * 3) + 1j * rng.standard_normal((nn,) * 3))
-        u0 = SpectralField(metric, cfg.bandlimit, c)
+        u0 = SpectralField(cfg.metric, cfg.bandlimit, c)
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
@@ -120,7 +130,7 @@ def cmd_verify(args) -> int:
     seed = _resolve_seed(args, cfg)
     names = preset_names() if args.preset == "all" else [args.preset]
     env = RunEnvironment(
-        metric=_metric(cfg),
+        metric=cfg.metric,
         T=cfg.T,
         oversample=cfg.oversample,
         profile=cfg.profile,
@@ -131,10 +141,7 @@ def cmd_verify(args) -> int:
     outdir = Path(cfg.output_dir)
     worst = EXIT_OK
     for name in names:
-        try:
-            spec = get_preset(name, seed=seed, trials=args.trials, **overrides)
-        except ValueError as exc:
-            raise ConfigError(f"--trials/--slack: {exc}") from exc
+        spec = get_preset(name, seed=seed, trials=args.trials, **overrides)
         report = run_estimate(spec, env)
         jpath, _ = tio.write_report(report, outdir, name)
         print(f"{name}: {report.verdict} (slope={report.slope.get('value', 'n/a')}, "
@@ -144,30 +151,22 @@ def cmd_verify(args) -> int:
     return worst
 
 
-def _norms_time_grid(args) -> TimeGrid:
-    try:
-        return TimeGrid(args.T, args.n_time)
-    except ValueError as exc:
-        raise ConfigError(f"--T/--n-time: {exc}") from exc
-
-
 def cmd_norms(args) -> int:
     field = tio.load_field(args.field)
     if args.norm == "hs":
         value = sobolev_norm(field, args.s)
     elif args.norm == "lp":
-        if not args.p >= 1:
-            raise ConfigError(f"--p must be >= 1, got {args.p}")
         value = to_grid(field, 2).lp_norm(args.p)
-    elif args.norm == "y":
-        from .evolution import free_flow_path
+    else:  # y or v2, on args' time grid
+        grid = TimeGrid(args.T, args.n_time)
+        _desk_guard(field.bandlimit, grid.n)
+        if args.norm == "y":
+            from .evolution import free_flow_path
 
-        value = y_norm(free_flow_path(field, _norms_time_grid(args)), args.s)
-    elif args.norm == "v2":
-        # V^2 of the constant extension of the xi = 0 mode path
-        value = v2_norm(np.full(_norms_time_grid(args).n, field.coefficient((0, 0, 0))))
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unknown norm {args.norm!r}")
+            value = y_norm(free_flow_path(field, grid), args.s)
+        else:
+            # V^2 of the constant extension of the xi = 0 mode path
+            value = v2_norm(np.full(grid.n, field.coefficient((0, 0, 0))))
     if not np.isfinite(value):
         print("norm is not finite", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -178,18 +177,15 @@ def cmd_norms(args) -> int:
 def cmd_field(args) -> int:
     cfg = _load_cfg(args)
     seed = _resolve_seed(args, cfg)
-    metric = _metric(cfg)
+    _desk_guard(cfg.bandlimit)
     rng = np.random.default_rng(seed)
     from .harness.samplers import SamplerSpec, random_field
 
     support = {"random": "ball", "shell": "shell", "free-flow": "ball"}[args.kind]
     N = args.N or cfg.bandlimit
+    spec = SamplerSpec("gaussian_shell", amplitude=args.amplitude, support=support)
     try:
-        spec = SamplerSpec("gaussian_shell", amplitude=args.amplitude, support=support)
-    except ValueError as exc:
-        raise ConfigError(f"--amplitude: {exc}") from exc
-    try:
-        f = random_field(spec, metric, cfg.bandlimit, N, rng)
+        f = random_field(spec, cfg.metric, cfg.bandlimit, N, rng)
     except SamplerDegenerate as exc:
         raise ConfigError(f"--N {N}: {exc}") from exc
     if args.kind == "free-flow":
@@ -270,7 +266,7 @@ def cli_main(argv=None) -> int:
     log.setLevel(args.log_level)
     try:
         return args.func(args)
-    except (ConfigError, NotFound) as exc:
+    except (ConfigError, NotFound, OSError) as exc:  # an OSError names its path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (GuardExceeded, NoConvergence, FloatingPointError) as exc:

@@ -11,6 +11,9 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
+from .lattice import TorusMetric
+from .nonlinearity import PowerNonlinearity
+from .norms import TimeGrid
 
 
 @dataclass(frozen=True)
@@ -30,28 +33,27 @@ class RunConfig:
     output_dir: str = "runs"
 
     def __post_init__(self):
-        if self.T <= 0:
-            raise ConfigError(f"T must be positive, got {self.T}")
+        # building the value types checks the rules of theta, laplace_scale, p, sign, T
+        # and n_time, which they own
+        self.metric
+        PowerNonlinearity(self.p, self.sign)
+        TimeGrid(self.T, self.n_time)
         if self.profile not in ("sharp", "smooth"):
             raise ConfigError(f"profile must be sharp|smooth, got {self.profile!r}")
-        if self.sign not in (1, -1):
-            raise ConfigError(f"sign must be 1 or -1, got {self.sign}")
-        if self.n_time < 2:
-            raise ConfigError(f"n_time must be at least 2, got {self.n_time}")
         if self.bandlimit < 0:
             raise ConfigError(f"bandlimit must be non-negative, got {self.bandlimit}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if self.p < 2:
-            raise ConfigError(f"p must be at least 2, got {self.p}")
-        if any(t <= 0 for t in self.theta):
-            raise ConfigError(f"theta1..theta3 must be positive, got {self.theta}")
         if self.oversample < 2:
             raise ConfigError(f"oversample must be at least 2, got {self.oversample}")
 
     @property
     def theta(self) -> tuple[float, float, float]:
         return (self.theta1, self.theta2, self.theta3)
+
+    @property
+    def metric(self) -> TorusMetric:
+        return TorusMetric(self.theta, self.laplace_scale)
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}

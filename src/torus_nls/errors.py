@@ -25,10 +25,6 @@ class DomainError(TorusNlsError):
     """Evaluation at z = 0 with a negative effective power."""
 
 
-class InvalidLebesgueExponent(TorusNlsError):
-    """Lebesgue exponent outside the admissible range."""
-
-
 class NoConvergence(TorusNlsError):
     """An iterative solve stopped short of its tolerance.
 
@@ -85,5 +81,18 @@ class EpsilonTooLarge(TorusNlsError):
         self.value = value
 
 
-class ConfigError(TorusNlsError):
-    """Malformed or incomplete configuration."""
+class ConfigError(TorusNlsError, ValueError):
+    """A parameter value that the rule of its owner rejects, or a malformed
+    config or field file.
+
+    Each rule is stated once, where the parameter lives: in a value type
+    (TorusMetric, PowerNonlinearity, TimeGrid, SamplerSpec, EstimateSpec,
+    RunConfig for its own keys) or in the function that takes it; NaN and
+    +-inf fail every rule that asks for a finite value.  The CLI maps it to
+    exit code 2.  It is a ValueError too, so callers that catch ValueError
+    keep working.
+    """
+
+
+class InvalidLebesgueExponent(ConfigError):
+    """Lebesgue exponent outside the admissible range."""

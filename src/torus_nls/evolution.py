@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
 from .lattice import SpectralField, TorusMetric, q_grid
 from .nonlinearity import PowerNonlinearity, apply_F
 from .norms import SpaceTimePath, TimeGrid, flow_phases
@@ -18,6 +19,8 @@ from .norms import SpaceTimePath, TimeGrid, flow_phases
 
 def propagate(field_: SpectralField, t: float) -> SpectralField:
     """e^{itDelta}: multiply mode xi by e^{-i*laplace_scale*t*Q(xi)}."""
+    if not -np.inf < t < np.inf:  # also rejects NaN
+        raise ConfigError(f"t must be finite, got {t}")
     q = q_grid(field_.metric, field_.bandlimit)
     return field_.with_coeffs(field_.coeffs * np.exp(-1j * field_.metric.laplace_scale * t * q))
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from ..errors import DegenerateSeries, GuardExceeded, NotFound
+from ..errors import ConfigError, DegenerateSeries, GuardExceeded, NotFound
 from ..io import provenance
 from ..lattice import TorusMetric
 from .samplers import SamplerSpec
@@ -45,11 +45,11 @@ class EstimateSpec:
     def __post_init__(self):
         rng = self.dyadic_range
         if not rng or any(n < 1 or (n & (n - 1)) for n in rng) or list(rng) != sorted(rng):
-            raise ValueError("dyadic_range must be ascending powers of two, nonempty")
+            raise ConfigError("dyadic_range must be ascending powers of two, nonempty")
         if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+            raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if not 0 <= self.slack < np.inf:
-            raise ValueError(f"slack must be finite and >= 0, got {self.slack}")
+            raise ConfigError(f"slack must be finite and >= 0, got {self.slack}")
 
     def param(self, key):
         params = dict(self.params)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import SamplerDegenerate
+from ..errors import ConfigError, SamplerDegenerate
 from ..evolution import free_flow_path
 from ..lattice import SpectralField, TorusMetric, euclidean_norm_grid
 from ..littlewood_paley import cube_mask
@@ -34,14 +34,15 @@ class SamplerSpec:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"unknown sampler kind {self.kind!r}")
+            raise ConfigError(f"unknown sampler kind {self.kind!r}")
         if self.support not in SUPPORTS:
-            raise ValueError(f"unknown support {self.support!r}")
+            raise ConfigError(f"unknown support {self.support!r}")
         if not 0 < self.amplitude < np.inf:
-            raise ValueError(f"amplitude must be positive and finite, got {self.amplitude}")
+            raise ConfigError(f"amplitude must be positive and finite, got {self.amplitude}")
 
 
 def support_mask(support: str, N: int, bandlimit: int) -> np.ndarray:
+    N = min(N, 4 * bandlimit + 2)  # every larger N selects the same modes
     r = euclidean_norm_grid(bandlimit)
     if support == "shell":
         if N == 1:

@@ -41,24 +41,21 @@ def save_field(field: SpectralField, path) -> None:
 def load_field(path) -> SpectralField:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read field file {path}: {exc}") from exc
-    for key in ("metric", "bandlimit", "coeffs"):
-        if key not in doc:
-            raise ConfigError(f"field file {path} missing key {key!r}")
-    M = int(doc["bandlimit"])
-    nn = 2 * M + 1
-    pairs = np.asarray(doc["coeffs"], dtype=float)
-    if pairs.shape != (nn**3, 2):
-        raise ConfigError(
-            f"field file {path}: expected {nn**3} coefficient pairs, got {pairs.shape}"
-        )
-    coeffs = pairs.view(np.complex128).reshape(nn, nn, nn)  # keeps signed zeros
-    try:  # a non-positive theta or a non-finite coefficient
+        for key in ("metric", "bandlimit", "coeffs"):
+            if key not in doc:
+                raise ConfigError(f"missing key {key!r}")
+        M = int(doc["bandlimit"])
+        nn = 2 * M + 1
+        pairs = np.asarray(doc["coeffs"], dtype=float)
+        if pairs.shape != (nn**3, 2):
+            raise ConfigError(f"expected {nn**3} coefficient pairs, got {pairs.shape}")
+        coeffs = pairs.view(np.complex128).reshape(nn, nn, nn)  # keeps signed zeros
         metric = TorusMetric(tuple(doc["metric"]["theta"]), doc["metric"]["laplace_scale"])
         return SpectralField(metric, M, coeffs)
-    except ValueError as exc:
-        raise ConfigError(f"field file {path}: {exc}") from exc
+    except (OSError, ValueError, TypeError, KeyError, OverflowError) as exc:
+        # ValueError: broken JSON, a bad theta or coefficient; the others a document of the
+        # wrong shape (TypeError, KeyError) or an infinite bandlimit (OverflowError)
+        raise ConfigError(f"cannot read field file {path}: {exc}") from exc
 
 
 CSV_COLUMNS = ["preset", "N", "trial", "lhs", "rhs", "ratio"]
@@ -82,8 +79,11 @@ def write_report(report, directory, name: str) -> tuple[Path, Path]:
 
 def summarize_reports(directory) -> list[dict]:
     """Merge every report CSV under a directory into one row list."""
+    paths = sorted(Path(directory).glob("**/*.csv"))
+    if not paths:
+        raise ConfigError(f"no report CSVs under {directory}")
     rows = []
-    for path in sorted(Path(directory).glob("**/*.csv")):
+    for path in paths:
         with path.open(newline="", encoding="utf-8") as fh:
             rows.extend(csv.DictReader(fh))
     return rows

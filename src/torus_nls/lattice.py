@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import GridTooSmall, InvalidLebesgueExponent, NegativePowerAtZeroMode
+from .errors import ConfigError, GridTooSmall, InvalidLebesgueExponent, NegativePowerAtZeroMode
 
 DEFAULT_LAPLACE_SCALE = 4.0 * np.pi**2
 SLAB_BYTES = 1 << 18  # working set of one slab of a pass over a grid (256 kB)
@@ -49,10 +49,11 @@ class TorusMetric:
     laplace_scale: float = DEFAULT_LAPLACE_SCALE
 
     def __post_init__(self):
-        if len(self.theta) != 3 or any(t <= 0 for t in self.theta):
-            raise ValueError(f"theta must be three positive reals, got {self.theta}")
-        if self.laplace_scale <= 0:
-            raise ValueError("laplace_scale must be positive")
+        # written so that NaN fails each rule
+        if len(self.theta) != 3 or not all(0 < t < np.inf for t in self.theta):
+            raise ConfigError(f"theta must be three positive finite reals, got {self.theta}")
+        if not 0 < self.laplace_scale < np.inf:
+            raise ConfigError(f"laplace_scale must be finite and > 0, got {self.laplace_scale}")
         object.__setattr__(self, "theta", tuple(float(t) for t in self.theta))
 
 
@@ -206,7 +207,10 @@ def q_classes(metric: TorusMetric, bandlimit: int) -> tuple[np.ndarray, np.ndarr
 
 @lru_cache(maxsize=16)
 def _bracket_power_classes(metric: TorusMetric, bandlimit: int, s: float) -> np.ndarray:
-    w = (1.0 + q_classes(metric, bandlimit)[0]) ** s
+    if not -np.inf < s < np.inf:  # also rejects NaN
+        raise ConfigError(f"Sobolev exponent must be finite, got {s}")
+    with np.errstate(over="ignore"):  # a huge s has inf weights, and its norms are inf
+        w = (1.0 + q_classes(metric, bandlimit)[0]) ** s
     w.flags.writeable = False
     return w
 

@@ -37,7 +37,8 @@ from itertools import chain, pairwise
 
 import numpy as np
 
-from .errors import DomainError, GridTooSmall, InvalidLebesgueExponent, UndefinedDerivative
+from .errors import (ConfigError, DomainError, GridTooSmall, InvalidLebesgueExponent,
+                     UndefinedDerivative)
 from .lattice import GridField, SpectralField, slabs, to_grid, to_spectral
 from .littlewood_paley import blended_projection, project_dyadic, project_leq
 
@@ -57,10 +58,10 @@ class PowerNonlinearity:
     sign: int = 1
 
     def __post_init__(self):
-        if self.p < 2:
-            raise ValueError(f"p must be >= 2, got {self.p}")
+        if not 2 <= self.p < np.inf:  # also rejects NaN
+            raise ConfigError(f"p must be finite and >= 2, got {self.p}")
         if self.sign not in (+1, -1):
-            raise ValueError("sign must be +1 or -1")
+            raise ConfigError(f"sign must be +1 or -1, got {self.sign}")
 
     @property
     def s_c(self) -> float:
@@ -262,17 +263,20 @@ def _gauss_legendre_01(K: int):
 def _graded_nodes(c: np.ndarray, K: int):
     """The graded rule on [0, 1], per point: composite K-point Gauss-Legendre
     on ten panels whose widths shrink geometrically (ratio 1/4) toward c,
-    clipped into [1e-3, 1 - 1e-3].  Yields node and weight rows (t, weight),
-    panel by panel and node by node; rows and panel edges are made only as
-    they are reached, so a pass over many points holds one row at a time.
+    clipped into [1e-3, 1 - 1e-3].  Yields blocks (t, weight) of node rows,
+    one row per node in node order, each block within one panel and of at
+    most max(1, 2**16 // c.size) rows; blocks and panel edges are made only
+    as they are reached, so a pass over many points holds one row at a time.
     """
     c = np.clip(c, 1e-3, 1.0 - 1e-3)
     f = [0.0] + [1.0 - 0.25**l for l in range(1, 5)] + [1.0]
     edges = chain((c * x for x in f), (c + (1.0 - c) * (1.0 - x) for x in f[-2::-1]))
     nodes, weights = _gauss_legendre_01(K)
+    rows = max(1, 2**16 // max(c.size, 1))
     for a, b in pairwise(edges):
         length = b - a
-        for x, gw in zip(nodes, weights):
+        for i in range(0, K, rows):
+            x, gw = nodes[i:i + rows, None], weights[i:i + rows, None]
             yield a + length * x, gw * length
 
 
@@ -294,7 +298,8 @@ def _ftc_integrals(u: np.ndarray, w: np.ndarray, nl: PowerNonlinearity, orders, 
     accs = [np.zeros(u.shape, dtype=np.complex128) for _ in orders]
     for t, weight in _graded_nodes(c, K):
         for acc, d in zip(accs, wirtinger_orders(u + t * w, nl, orders)):
-            acc += weight * d
+            for row_weight, row in zip(weight, d):  # in node order, for the same sums
+                acc += row_weight * row
     return accs
 
 
@@ -382,7 +387,7 @@ def second_order_expansion_pointwise(
         d_star = np.where(closer, d, d_star)
         t_star = np.where(closer, t, t_star)
 
-    t_mat, w_mat = map(np.stack, zip(*_graded_nodes(t_star, K)))   # (P*K, npts) each
+    t_mat, w_mat = map(np.concatenate, zip(*_graded_nodes(t_star, K)))   # (P*K, npts) each
     bt_u = u_low[None, :] + t_mat * u_shell[None, :]
     bt_w = w_low[None, :] + t_mat * w_shell[None, :]
     i_zz, i_zzbar, i_zbarzbar = (

@@ -42,7 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import GridMismatch
+from .errors import ConfigError, GridMismatch, InvalidLebesgueExponent
 from .lattice import (SpectralField, TorusMetric, bracket_power, q_classes, q_grid,
                       to_grid)
 
@@ -55,10 +55,10 @@ class TimeGrid:
     n: int
 
     def __post_init__(self):
-        if not self.T > 0:
-            raise ValueError(f"T must be positive, got {self.T}")
+        if not 0 < self.T < np.inf:  # also rejects NaN
+            raise ConfigError(f"T must be positive and finite, got {self.T}")
         if self.n < 2:
-            raise ValueError(f"need n >= 2 time samples, got {self.n}")
+            raise ConfigError(f"need n >= 2 time samples, got {self.n}")
 
     @property
     def dt(self) -> float:
@@ -224,14 +224,15 @@ class SpaceTimePath:
 def sobolev_norm(field_: SpectralField, s: float) -> float:
     """H^s norm (sum_xi <xi>^{2s} |u_hat|^2)^{1/2} with <xi>^2 = 1 + Q(xi)."""
     w = bracket_power(field_.metric, field_.bandlimit, s)
-    return float(np.sqrt(np.sum(w * np.abs(field_.coeffs) ** 2)))
+    with np.errstate(over="ignore"):  # a norm past the float range is inf
+        return float(np.sqrt(np.sum(w * np.abs(field_.coeffs) ** 2)))
 
 
 def spacetime_lp(path: SpaceTimePath, p_t: float, p_x: float, oversample: int = 2) -> float:
     """L^{p_t}_t L^{p_x}_x norm: left-endpoint Riemann sum in t, grid quadrature in x.
     A static path takes its one field's L^{p_x} norm once."""
     if not (p_t >= 1 and p_x >= 1):  # also rejects NaN
-        raise ValueError("Lebesgue exponents must be >= 1")
+        raise InvalidLebesgueExponent(f"Lebesgue exponents must be >= 1, got {p_t}, {p_x}")
     if path.static is not None:
         per_t = np.full(path.grid.n, to_grid(path.static, oversample).lp_norm(p_x))
     else:

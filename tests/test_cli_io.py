@@ -2,11 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import torus_nls
 from torus_nls.cli import cli_main
@@ -259,7 +262,7 @@ def test_cli_solve_exits_3_when_F_overflows(tmp_path, capsys, find_T):
         c = np.zeros((5, 5, 5), dtype=complex)
         c[2, 2, 2] = c[3, 2, 2] = amplitude
         u0 = tmp_path / "u0.field.json"
-        save_field(SpectralField(METRIC, 2, c), u0)
+        save_field(SpectralField(load_config(cfg).metric, 2, c), u0)
         argv = ["--config", str(cfg), "solve", "--u0", str(u0)]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -291,20 +294,153 @@ def _field_doc(theta=(1.0, 1.0, 1.0), value=0.0):
     ("", None, ["field", "random", "--amplitude", "0", "--out", "OUT"], None),
     ("", None, ["verify", "frac_product", "--trials", "0"], None),
     ("", None, ["verify", "frac_product", "--trials", "1", "--slack", "-1"], None),
+    ("T = nan", None, ["solve"], None),
+    ("T = inf", None, ["solve"], None),
+    ("laplace_scale = -1", None, ["solve"], None),
+    ("laplace_scale = nan", None, ["solve"], None),
+    ("theta1 = nan", None, ["solve"], None),
+    ("theta1 = inf", None, ["solve"], None),
+    ("p = nan", None, ["solve"], None),
+    ("p = inf", None, ["solve"], None),
+    ("", None, ["norms", "--field", "FIELD", "--norm", "y", "--T", "nan"], _field_doc()),
+    ("", None, ["norms", "--field", "FIELD", "--norm", "lp", "--p", "nan"], _field_doc()),
+    ("", None, ["norms", "--field", "FIELD", "--norm", "hs", "--s", "nan"], _field_doc()),
+    ("", None, ["field", "random", "--amplitude", "nan", "--out", "OUT"], None),
+    ("", None, ["verify", "frac_product", "--trials", "1", "--slack", "nan"], None),
+    ("", None, ["field", "free-flow", "--t", "nan", "--out", "OUT"], None),
+    ("", None, ["field", "random", "--out", "NO_DIR/v.field.json"], None),
+    ("output_dir = TMP/run.config/out", None, ["solve"], None),
+    ("", None, ["report", "summarize", "NO_DIR", "--out", "CSV"], None),
+    ("", None, ["report", "summarize", "TMP", "--out", "CSV"], None),
+    ("", None, ["solve", "--u0", "FIELD"], _field_doc()),
+    ("bandlimit = 0\nlaplace_scale = 1.0", None, ["solve", "--u0", "FIELD"],
+     _field_doc(theta=(1, 2, 1))),
 ], ids=["seed_flag", "seed_env", "seed_config", "n_time", "bandlimit", "field_theta",
         "field_nan", "p", "theta", "oversample", "norms_n_time", "field_N", "lp_p_zero",
-        "lp_p_negative", "amplitude", "trials", "slack"])
-def test_cli_malformed_input_exits_2(tmp_path, monkeypatch, config, env_seed, argv, field):
+        "lp_p_negative", "amplitude", "trials", "slack", "T_nan", "T_inf", "laplace_negative",
+        "laplace_nan", "theta_nan", "theta_inf", "p_nan", "p_inf", "norms_T_nan", "lp_p_nan",
+        "hs_s_nan", "amplitude_nan", "slack_nan", "free_flow_t_nan", "out_missing_dir",
+        "output_dir_uncreatable", "report_missing_dir", "report_no_csv", "u0_bandlimit",
+        "u0_theta"])
+def test_cli_malformed_input_exits_2(tmp_path, monkeypatch, capsys, config, env_seed, argv,
+                                     field):
     cfg = tmp_path / "run.config"
+    config = config.replace("TMP", str(tmp_path))
     cfg.write_text(f"output_dir = {tmp_path / 'out'}\n{config}\n", encoding="utf-8")
     if field is not None:
         (tmp_path / "u.field.json").write_text(json.dumps(field), encoding="utf-8")
     monkeypatch.delenv("TORUS_NLS_SEED", raising=False)
     if env_seed is not None:
         monkeypatch.setenv("TORUS_NLS_SEED", env_seed)
-    paths = {"OUT": str(tmp_path / "v.field.json"), "FIELD": str(tmp_path / "u.field.json")}
+    argv = [a.replace("NO_DIR", str(tmp_path / "nope")) for a in argv]
+    paths = {"OUT": str(tmp_path / "v.field.json"), "FIELD": str(tmp_path / "u.field.json"),
+             "CSV": str(tmp_path / "summary.csv"), "TMP": str(tmp_path)}
     argv = [paths.get(a, a) for a in argv]
     assert cli_main(["--config", str(cfg), *argv]) == 2
+    err = capsys.readouterr().err
+    assert "error: " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("config, argv", [
+    ("bandlimit = 100000", ["solve"]),
+    ("n_time = 100000000", ["solve"]),
+    ("oversample = 100000", ["solve"]),
+    ("bandlimit = 100000", ["field", "random", "--out", "OUT"]),
+    ("", ["norms", "--field", "FIELD", "--norm", "y", "--n-time", "100000000"]),
+], ids=["solve_bandlimit", "solve_n_time", "solve_oversample", "field_bandlimit",
+        "norms_n_time"])
+def test_cli_desk_guard_exits_3_before_allocating(tmp_path, capsys, config, argv):
+    cfg = tmp_path / "run.config"
+    cfg.write_text(f"output_dir = {tmp_path / 'out'}\n{config}\n", encoding="utf-8")
+    (tmp_path / "u.field.json").write_text(json.dumps(_field_doc()), encoding="utf-8")
+    paths = {"OUT": str(tmp_path / "v.field.json"), "FIELD": str(tmp_path / "u.field.json")}
+    assert cli_main(["--config", str(cfg), *[paths.get(a, a) for a in argv]]) == 3
+    assert "desk guard" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "v.field.json").exists()
+
+
+# One hostile edit of a tiny valid run: a config key, an option or a path.
+_REJECTED = ["nan", "inf", "-inf", "abc"]  # no parameter accepts these, but L^inf is a norm
+_VALUES = _REJECTED + ["0", "-1", "1e300", str(2**64), "9" * 400]
+_CONFIG_KEYS = ["theta1", "theta3", "laplace_scale", "p", "sign", "bandlimit", "T", "n_time",
+                "oversample", "seed", "profile"]
+_COMMANDS = [  # (argv, options the edit may set)
+    (["solve"], []),
+    (["solve", "--find-T", "--u0", "FIELD"], []),
+    (["field", "free-flow", "--out", "OUT"], ["--N", "--amplitude", "--t"]),
+    (["norms", "--field", "FIELD", "--norm", "hs"], ["--s"]),
+    (["norms", "--field", "FIELD", "--norm", "lp"], ["--p"]),
+    (["norms", "--field", "FIELD", "--norm", "y"], ["--s", "--T", "--n-time"]),
+    (["norms", "--field", "FIELD", "--norm", "v2"], ["--T", "--n-time"]),
+    (["report", "summarize", "REPORTS", "--out", "CSV"], []),
+]
+_BAD_FIELD_DOCS = [
+    [], "field", {"metric": 1, "bandlimit": 1, "coeffs": []},
+    {"metric": {"theta": ["a", 1, 1], "laplace_scale": 1}, "bandlimit": 0, "coeffs": [[0, 0]]},
+    {"metric": {"theta": [1, 1], "laplace_scale": 1}, "bandlimit": 0, "coeffs": [[0, 0]]},
+    {**_field_doc(), "bandlimit": "one"}, {**_field_doc(), "bandlimit": 1e300},
+    {**_field_doc(), "bandlimit": float("inf")}, {**_field_doc(), "coeffs": [[0, 0, 0]]},
+    {**_field_doc(), "coeffs": [["a", 0]]}, {**_field_doc(), "coeffs": {"0": 1}},
+]
+
+
+@st.composite
+def _hostile_runs(draw):
+    argv, options = draw(st.sampled_from(_COMMANDS))
+    # norms and report read no config
+    where = draw(st.sampled_from(["path"] + ["config"] * (argv[0] in ("solve", "field"))
+                                 + ["option"] * bool(options)))
+    if where == "config":
+        return argv, (draw(st.sampled_from(_CONFIG_KEYS)), draw(st.sampled_from(_VALUES)))
+    if where == "option":
+        option, value = draw(st.sampled_from(options)), draw(st.sampled_from(_VALUES))
+        return argv + [option, value], ("option", option, value)
+    if "FIELD" in argv:
+        doc = draw(st.sampled_from(["missing", "truncated", *range(len(_BAD_FIELD_DOCS))]))
+        return argv, ("FIELD", doc, draw(st.integers(0, 10**6)))
+    # an output file in, a report directory that is, or an output_dir under, a missing directory
+    return argv, (next((a for a in argv if a in ("OUT", "REPORTS")), "output_dir"), "missing", 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_hostile_runs())
+def test_cli_exit_codes_hold_for_hostile_input(run):
+    # every outcome is an exit code of the contract, and a rejected value never exits 0
+    argv, edit = run
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        config = {"bandlimit": "1", "n_time": "4", "T": "0.25", "output_dir": str(tmp / "out")}
+        paths = {"FIELD": tmp / "u.field.json", "OUT": tmp / "v.field.json",
+                 "REPORTS": tmp / "reports", "CSV": tmp / "summary.csv"}
+        # a datum on the lattice of the config, so that solve --u0 accepts it
+        save_field(SpectralField(RunConfig().metric, 1, 0.05 * random_field(1).coeffs),
+                   paths["FIELD"])
+        paths["REPORTS"].mkdir()
+        (paths["REPORTS"] / "r.csv").write_text("preset,N,trial,lhs,rhs,ratio\nx,1,0,1,1,1\n",
+                                                 encoding="utf-8")
+        rejected = True
+        if edit[0] == "output_dir":
+            config["output_dir"] = str(tmp / "run.config" / "out")
+        elif edit[0] in paths:
+            name, how, cut = edit
+            if how == "missing":
+                paths[name] = tmp / "nope" / paths[name].name
+            elif how == "truncated":
+                text = paths[name].read_text(encoding="utf-8")
+                paths[name].write_text(text[:cut % len(text)], encoding="utf-8")
+            else:
+                paths[name].write_text(json.dumps(_BAD_FIELD_DOCS[how]), encoding="utf-8")
+        elif edit[0] == "option":
+            rejected = edit[2] in _REJECTED and edit[1:] != ("--p", "inf")
+        else:
+            config[edit[0]] = edit[1]
+            rejected = edit[1] in _REJECTED
+        cfg = tmp / "run.config"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in config.items()), encoding="utf-8")
+        argv = [str(paths.get(a, a)) for a in argv]
+        code = cli_main(["--config", str(cfg), "--seed", "1", *argv])
+    assert code in (0, 2, 3)
+    assert not (rejected and code == 0), (argv, edit)
 
 
 def test_cli_seed_precedence(tmp_path, monkeypatch):
