@@ -2,8 +2,10 @@
 
 Subcommands: solve, verify, norms, field, report.  Exit codes: 0 success /
 verdict pass, 1 verdict fail, 2 usage or config error (any bad parameter or
-path), 3 numerical error (non-finite values, desk guard, divergence).  Seed
-precedence: --seed flag > TORUS_NLS_SEED environment variable > config file.
+path), 3 numerical error (non-finite values, desk guard, divergence).
+cli_main reads the config (--config, or the defaults) and the seed once and
+hands both to the command.  Seed precedence: --seed flag > TORUS_NLS_SEED
+environment variable > config file.
 """
 
 from __future__ import annotations
@@ -22,12 +24,11 @@ from . import io as tio
 from .config import RunConfig, config_dict, load_config, save_config
 from .errors import (ConfigError, GuardExceeded, NoConvergence, NotFound,
                      SamplerDegenerate, TorusNlsError)
-from .harness import (GUARD_BANDLIMIT, GUARD_TIME, RunEnvironment, get_preset, preset_names,
-                      run_estimate)
+from .harness import RunEnvironment, desk_guard, get_preset, preset_names, run_estimate
 from .lattice import SpectralField, to_grid
 from .nonlinearity import PowerNonlinearity
 from .norms import TimeGrid, sobolev_norm, v2_norm, y_norm
-from .solver import find_T, mass, picard_solve
+from .solver import find_T, mass
 
 log = logging.getLogger("torus_nls")
 
@@ -38,7 +39,7 @@ EXIT_NUMERICAL = 3
 
 
 def _resolve_seed(args, cfg: RunConfig) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         source, seed = "--seed", args.seed
     elif (env := os.environ.get("TORUS_NLS_SEED")) is not None:
         if not env.strip().isdecimal():
@@ -51,25 +52,8 @@ def _resolve_seed(args, cfg: RunConfig) -> int:
     return seed
 
 
-def _load_cfg(args) -> RunConfig:
-    return load_config(args.config) if args.config else RunConfig()
-
-
-def _desk_guard(bandlimit: int, n_time: int = 0, oversample: int = 1) -> None:
-    """GuardExceeded (exit 3) before allocating past desk scale: verify's lattice and
-    time-grid limits, and grids of at most 4 (2 GUARD_BANDLIMIT + 1) points a side."""
-    over = [f"{name} {value} > {limit}" for name, value, limit in (
-        ("bandlimit", bandlimit, GUARD_BANDLIMIT), ("n_time", n_time, GUARD_TIME),
-        ("grid side", oversample * (2 * bandlimit + 1), 4 * (2 * GUARD_BANDLIMIT + 1)),
-    ) if value > limit]
-    if over:
-        raise GuardExceeded(f"{', '.join(over)}: past the desk guard")
-
-
-def cmd_solve(args) -> int:
-    cfg = _load_cfg(args)
-    seed = _resolve_seed(args, cfg)
-    _desk_guard(cfg.bandlimit, cfg.n_time, cfg.oversample)
+def cmd_solve(args, cfg: RunConfig, seed: int) -> int:
+    desk_guard(cfg.bandlimit, cfg.n_time, cfg.oversample)
     nl = PowerNonlinearity(cfg.p, cfg.sign)
     if args.u0:
         u0 = tio.load_field(args.u0)
@@ -84,13 +68,9 @@ def cmd_solve(args) -> int:
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    try:
-        if args.find_T:
-            T, path, diag = find_T(u0, nl, cfg.T, cfg.n_time, cfg.oversample)
-        else:
-            T = cfg.T
-            path, diag = picard_solve(u0, nl, TimeGrid(T, cfg.n_time), cfg.oversample,
-                                      initial="march")
+    try:  # without --find-T, one solve at the config's T
+        T, path, diag = find_T(u0, nl, cfg.T, cfg.n_time, cfg.oversample,
+                               max_halvings=20 if args.find_T else 1)
     except NoConvergence as exc:
         print(f"no convergence: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -125,9 +105,7 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    cfg = _load_cfg(args)
-    seed = _resolve_seed(args, cfg)
+def cmd_verify(args, cfg: RunConfig, seed: int) -> int:
     names = preset_names() if args.preset == "all" else [args.preset]
     env = RunEnvironment(
         metric=cfg.metric,
@@ -151,15 +129,16 @@ def cmd_verify(args) -> int:
     return worst
 
 
-def cmd_norms(args) -> int:
+def cmd_norms(args, cfg: RunConfig, seed: int) -> int:
     field = tio.load_field(args.field)
     if args.norm == "hs":
         value = sobolev_norm(field, args.s)
     elif args.norm == "lp":
-        value = to_grid(field, 2).lp_norm(args.p)
-    else:  # y or v2, on args' time grid
-        grid = TimeGrid(args.T, args.n_time)
-        _desk_guard(field.bandlimit, grid.n)
+        desk_guard(field.bandlimit, oversample=cfg.oversample)
+        value = to_grid(field, cfg.oversample).lp_norm(args.p)
+    else:  # y or v2, on the config's time grid
+        grid = TimeGrid(cfg.T, cfg.n_time)
+        desk_guard(field.bandlimit, grid.n)
         if args.norm == "y":
             from .evolution import free_flow_path
 
@@ -174,10 +153,8 @@ def cmd_norms(args) -> int:
     return EXIT_OK
 
 
-def cmd_field(args) -> int:
-    cfg = _load_cfg(args)
-    seed = _resolve_seed(args, cfg)
-    _desk_guard(cfg.bandlimit)
+def cmd_field(args, cfg: RunConfig, seed: int) -> int:
+    desk_guard(cfg.bandlimit)
     rng = np.random.default_rng(seed)
     from .harness.samplers import SamplerSpec, random_field
 
@@ -197,7 +174,7 @@ def cmd_field(args) -> int:
     return EXIT_OK
 
 
-def cmd_report(args) -> int:
+def cmd_report(args, cfg: RunConfig, seed: int) -> int:
     rows = tio.summarize_reports(args.directory)
     tio.write_summary(rows, args.out)
     print(f"merged {len(rows)} rows into {args.out}")
@@ -229,13 +206,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--allow-large-T", action="store_true", dest="allow_large_T")
     p_verify.set_defaults(func=cmd_verify)
 
-    p_norms = sub.add_parser("norms", help="evaluate a norm of a stored field")
+    p_norms = sub.add_parser("norms", help="evaluate a norm of a stored field (y and v2 on "
+                             "the config's T and n_time, lp on its oversample)")
     p_norms.add_argument("--field", required=True)
     p_norms.add_argument("--norm", required=True, choices=["hs", "lp", "y", "v2"])
     p_norms.add_argument("--s", type=float, default=0.0)
     p_norms.add_argument("--p", type=float, default=2.0)
-    p_norms.add_argument("--T", type=float, default=0.5)
-    p_norms.add_argument("--n-time", type=int, default=16, dest="n_time")
     p_norms.set_defaults(func=cmd_norms)
 
     p_field = sub.add_parser("field", help="generate a .field.json")
@@ -265,7 +241,8 @@ def cli_main(argv=None) -> int:
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     log.setLevel(args.log_level)
     try:
-        return args.func(args)
+        cfg = load_config(args.config) if args.config else RunConfig()
+        return args.func(args, cfg, _resolve_seed(args, cfg))
     except (ConfigError, NotFound, OSError) as exc:  # an OSError names its path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

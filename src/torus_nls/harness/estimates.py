@@ -26,6 +26,18 @@ DEFAULT_SLOPE_SLACK = 0.15
 DEFAULT_RATIO_CAP = 3.0
 
 
+def desk_guard(bandlimit: int, n_time: int = 0, oversample: int = 1) -> None:
+    """GuardExceeded before allocating past desk scale: a lattice of at most
+    GUARD_BANDLIMIT, a time grid of at most GUARD_TIME nodes, and sample grids
+    of at most 4 (2 GUARD_BANDLIMIT + 1) points a side."""
+    over = [f"{name} {value} > {limit}" for name, value, limit in (
+        ("bandlimit", bandlimit, GUARD_BANDLIMIT), ("time grid", n_time, GUARD_TIME),
+        ("grid side", oversample * (2 * bandlimit + 1), 4 * (2 * GUARD_BANDLIMIT + 1)),
+    ) if value > limit]
+    if over:
+        raise GuardExceeded(f"{', '.join(over)}: past the desk guard")
+
+
 @dataclass(frozen=True)
 class EstimateSpec:
     """One executable inequality check."""
@@ -69,13 +81,11 @@ class RunEnvironment:
     unsafe: bool = False
     allow_large_T: bool = False
 
-    def check_guard(self, bandlimit: int):
+    def check_guard(self, bandlimit: int = 0, n_time: int = 0):
+        """desk_guard at this run's oversample, then 0 < T <= 1; unsafe lifts both."""
         if self.unsafe:
             return
-        if bandlimit > GUARD_BANDLIMIT:
-            raise GuardExceeded(
-                f"bandlimit {bandlimit} exceeds desk guard {GUARD_BANDLIMIT} (use unsafe)"
-            )
+        desk_guard(bandlimit, n_time, self.oversample)
         if self.T > 1.0 and not self.allow_large_T:
             raise GuardExceeded("harness runs require 0 < T <= 1 (use allow_large_T)")
 

@@ -107,18 +107,15 @@ def epsilon_max(p: float, case: str = "low", tol: float = 1e-12) -> float:
     # eps -> 1 is never admissible, and r0 is the exponent that binds in
     # both cases: at eps = 1 it is 3 (low) or 20p/(6p+4) (high), both below
     # 10/3, and the surface is eps = 1 - p/4 (low) or about 0.60-0.61
-    # (high).  r4 = 10/(3(1-eps)) passes the floor for every eps < 1.
+    # (high).  r4 = 10/(3(1-eps)) passes the floor for every eps < 1.  So
+    # bisection, which probes only eps in (0, 1), needs no test at the ends.
     def ok(e: float) -> bool:
-        if e <= 0:
-            return True
         try:
             hoelder_exponents(p, e, case)
             return True
         except EpsilonTooLarge:
             return False
 
-    if ok(hi):
-        return hi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if ok(mid):

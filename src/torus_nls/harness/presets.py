@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from ..errors import GuardExceeded, NotFound
+from ..errors import NotFound
 from ..lattice import (GridField, SpectralField, fractional_multiplier,
                        gradient_fields, slabs, to_grid, to_spectral)
 from ..littlewood_paley import project_dyadic, project_leq
@@ -22,14 +22,13 @@ from ..nonlinearity import (PowerNonlinearity, bony_tail, evaluate_F,
                            evaluate_F_in_place, s_critical, wirtinger_orders)
 from ..norms import (SpaceTimePath, TimeGrid, dual_quotient, sobolev_norm, spacetime_lp,
                      y_norm)
-from .estimates import GUARD_TIME, EstimateSpec, RunEnvironment
+from .estimates import EstimateSpec, RunEnvironment
 from .samplers import SamplerSpec, random_field, sample_path
 
 
 def _mk_grid(spec: EstimateSpec, env: RunEnvironment) -> TimeGrid:
     grid = TimeGrid(env.T, int(spec.param("n_time")))
-    if grid.n > GUARD_TIME and not env.unsafe:
-        raise GuardExceeded(f"time grid {grid.n} exceeds desk guard {GUARD_TIME} (use unsafe)")
+    env.check_guard(n_time=grid.n)
     return grid
 
 

@@ -31,6 +31,7 @@ import numpy as np
 from .errors import ConfigError, GridTooSmall, InvalidLebesgueExponent, NegativePowerAtZeroMode
 
 DEFAULT_LAPLACE_SCALE = 4.0 * np.pi**2
+_FLOAT = np.finfo(np.float64)
 SLAB_BYTES = 1 << 18  # working set of one slab of a pass over a grid (256 kB)
 
 
@@ -181,12 +182,21 @@ class GridField:
         return float(np.sqrt(np.mean(np.abs(self.samples) ** 2)))
 
     def lp_norm(self, p: float) -> float:
+        """mean(|u|^p)^(1/p), taken of u / max|u| where |u|^p would leave the float
+        range, so that the norm is finite at every p >= 1 and tends to max|u|."""
         if not p >= 1:  # also rejects NaN
             raise InvalidLebesgueExponent(f"Lebesgue exponent must be >= 1, got {p}")
         a = np.abs(self.samples)
-        if np.isinf(p):
-            return float(a.max())
-        return float(np.mean(a**p) ** (1.0 / p))
+        top = a.max()
+        if np.isinf(p) or not 0 < top < np.inf:
+            return float(top)
+        with np.errstate(over="ignore"):
+            in_range = _FLOAT.tiny <= top**p <= _FLOAT.max / a.size
+        if not in_range:
+            a /= top
+        a **= p
+        norm = np.mean(a) ** (1.0 / p)
+        return float(norm if in_range else top * norm)
 
 
 def bracket_sq(metric: TorusMetric, bandlimit: int) -> np.ndarray:

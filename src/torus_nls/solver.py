@@ -45,7 +45,6 @@ class PicardDiagnostics:
     ratios: tuple[float, ...]         # d_{k+1} / d_k
     residual: float                   # ||Phi(u*) - u*|| in the same norm
     iterations: int
-    converged: bool
     march_iterations: tuple[int, ...] = ()  # fixed-point iterations of frames 1..n-1
     timings: dict = field(default_factory=dict)  # seconds per stage
 
@@ -183,8 +182,7 @@ def picard_solve(
                                     residual=residual)
             timings = {"march_s": march_s, "picard_s": time.perf_counter() - t0}
             return u, PicardDiagnostics(
-                tuple(distances), ratios, residual, len(distances), True,
-                march_iterations, timings,
+                tuple(distances), ratios, residual, len(distances), march_iterations, timings,
             )
     last_ratio = (
         distances[-1] / distances[-2] if len(distances) > 1 and distances[-2] > 0 else np.inf
@@ -279,8 +277,9 @@ def find_T(
                                       initial="march")
             return T, path, diag
         except NoConvergence as exc:
-            log.info("no convergence at T=%g (%s); halving", T, exc)
             last = exc.with_traceback(None)  # its frames hold the failed iterates
+            if halvings + 1 < max_halvings:
+                log.info("no convergence at T=%g (%s); halving", T, exc)
     raise NoConvergence(
         last.max_iter, last.last_ratio, last.iterations, T=T, halvings=halvings,
         frame=last.frame, residual=last.residual,

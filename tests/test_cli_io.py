@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -234,6 +235,22 @@ def test_cli_exit_codes(tmp_path):
                      "--norm", "hs"]) == 2
 
 
+def test_cli_verify_exits_1_when_one_preset_fails(tmp_path, monkeypatch, capsys):
+    # two cheap presets in the table: a growing ratio fails, a flat one passes
+    from torus_nls.harness import presets
+
+    spec = presets.get_preset("frac_product")
+    monkeypatch.setattr(presets, "_PRESETS", {
+        name: (evaluator, dataclasses.replace(spec, name=name)) for name, evaluator in (
+            ("growing", lambda spec, env, N, rng: (N**2.0, 1.0)),
+            ("flat", lambda spec, env, N, rng: (1.0, 1.0)))})
+    cfg = _write_cfg(tmp_path)
+    assert cli_main(["--config", str(cfg), "verify", "all", "--trials", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "growing: fail" in out and "flat: pass" in out
+    assert cli_main(["--config", str(cfg), "verify", "flat", "--trials", "1"]) == 0
+
+
 def test_cli_verify_raises_the_T_guard(tmp_path):
     cfg = _write_cfg(tmp_path, T=2.0)
     argv = ["--config", str(cfg), "verify", "frac_product", "--trials", "1"]
@@ -287,7 +304,7 @@ def _field_doc(theta=(1.0, 1.0, 1.0), value=0.0):
     ("p = 1.5", None, ["solve"], None),
     ("theta2 = 0", None, ["solve"], None),
     ("oversample = 1", None, ["solve"], None),
-    ("", None, ["norms", "--field", "FIELD", "--norm", "y", "--n-time", "1"], _field_doc()),
+    ("n_time = 1", None, ["norms", "--field", "FIELD", "--norm", "y"], _field_doc()),
     ("", None, ["field", "shell", "--N", "64", "--out", "OUT"], None),
     ("", None, ["norms", "--field", "FIELD", "--norm", "lp", "--p", "0"], _field_doc()),
     ("", None, ["norms", "--field", "FIELD", "--norm", "lp", "--p", "-2"], _field_doc()),
@@ -302,7 +319,7 @@ def _field_doc(theta=(1.0, 1.0, 1.0), value=0.0):
     ("theta1 = inf", None, ["solve"], None),
     ("p = nan", None, ["solve"], None),
     ("p = inf", None, ["solve"], None),
-    ("", None, ["norms", "--field", "FIELD", "--norm", "y", "--T", "nan"], _field_doc()),
+    ("T = nan", None, ["norms", "--field", "FIELD", "--norm", "y"], _field_doc()),
     ("", None, ["norms", "--field", "FIELD", "--norm", "lp", "--p", "nan"], _field_doc()),
     ("", None, ["norms", "--field", "FIELD", "--norm", "hs", "--s", "nan"], _field_doc()),
     ("", None, ["field", "random", "--amplitude", "nan", "--out", "OUT"], None),
@@ -315,13 +332,15 @@ def _field_doc(theta=(1.0, 1.0, 1.0), value=0.0):
     ("", None, ["solve", "--u0", "FIELD"], _field_doc()),
     ("bandlimit = 0\nlaplace_scale = 1.0", None, ["solve", "--u0", "FIELD"],
      _field_doc(theta=(1, 2, 1))),
+    ("theta1 = nan", None, ["norms", "--field", "FIELD", "--norm", "hs"], _field_doc()),
+    ("theta1 = nan", None, ["report", "summarize", "TMP", "--out", "CSV"], None),
 ], ids=["seed_flag", "seed_env", "seed_config", "n_time", "bandlimit", "field_theta",
         "field_nan", "p", "theta", "oversample", "norms_n_time", "field_N", "lp_p_zero",
         "lp_p_negative", "amplitude", "trials", "slack", "T_nan", "T_inf", "laplace_negative",
         "laplace_nan", "theta_nan", "theta_inf", "p_nan", "p_inf", "norms_T_nan", "lp_p_nan",
         "hs_s_nan", "amplitude_nan", "slack_nan", "free_flow_t_nan", "out_missing_dir",
         "output_dir_uncreatable", "report_missing_dir", "report_no_csv", "u0_bandlimit",
-        "u0_theta"])
+        "u0_theta", "norms_config_nan", "report_config_nan"])
 def test_cli_malformed_input_exits_2(tmp_path, monkeypatch, capsys, config, env_seed, argv,
                                      field):
     cfg = tmp_path / "run.config"
@@ -346,16 +365,19 @@ def test_cli_malformed_input_exits_2(tmp_path, monkeypatch, capsys, config, env_
     ("n_time = 100000000", ["solve"]),
     ("oversample = 100000", ["solve"]),
     ("bandlimit = 100000", ["field", "random", "--out", "OUT"]),
-    ("", ["norms", "--field", "FIELD", "--norm", "y", "--n-time", "100000000"]),
+    ("n_time = 100000000", ["norms", "--field", "FIELD", "--norm", "y"]),
+    ("oversample = 100000", ["norms", "--field", "FIELD", "--norm", "lp"]),
+    ("oversample = 100000", ["verify", "strichartz_L6", "--trials", "1"]),
 ], ids=["solve_bandlimit", "solve_n_time", "solve_oversample", "field_bandlimit",
-        "norms_n_time"])
+        "norms_n_time", "norms_oversample", "verify_oversample"])
 def test_cli_desk_guard_exits_3_before_allocating(tmp_path, capsys, config, argv):
     cfg = tmp_path / "run.config"
     cfg.write_text(f"output_dir = {tmp_path / 'out'}\n{config}\n", encoding="utf-8")
     (tmp_path / "u.field.json").write_text(json.dumps(_field_doc()), encoding="utf-8")
     paths = {"OUT": str(tmp_path / "v.field.json"), "FIELD": str(tmp_path / "u.field.json")}
     assert cli_main(["--config", str(cfg), *[paths.get(a, a) for a in argv]]) == 3
-    assert "desk guard" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "desk guard" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists() and not (tmp_path / "v.field.json").exists()
 
 
@@ -370,8 +392,8 @@ _COMMANDS = [  # (argv, options the edit may set)
     (["field", "free-flow", "--out", "OUT"], ["--N", "--amplitude", "--t"]),
     (["norms", "--field", "FIELD", "--norm", "hs"], ["--s"]),
     (["norms", "--field", "FIELD", "--norm", "lp"], ["--p"]),
-    (["norms", "--field", "FIELD", "--norm", "y"], ["--s", "--T", "--n-time"]),
-    (["norms", "--field", "FIELD", "--norm", "v2"], ["--T", "--n-time"]),
+    (["norms", "--field", "FIELD", "--norm", "y"], ["--s"]),
+    (["norms", "--field", "FIELD", "--norm", "v2"], []),
     (["report", "summarize", "REPORTS", "--out", "CSV"], []),
 ]
 _BAD_FIELD_DOCS = [
@@ -387,9 +409,7 @@ _BAD_FIELD_DOCS = [
 @st.composite
 def _hostile_runs(draw):
     argv, options = draw(st.sampled_from(_COMMANDS))
-    # norms and report read no config
-    where = draw(st.sampled_from(["path"] + ["config"] * (argv[0] in ("solve", "field"))
-                                 + ["option"] * bool(options)))
+    where = draw(st.sampled_from(["path", "config"] + ["option"] * bool(options)))
     if where == "config":
         return argv, (draw(st.sampled_from(_CONFIG_KEYS)), draw(st.sampled_from(_VALUES)))
     if where == "option":

@@ -172,6 +172,17 @@ def test_verdict_monotone_in_slack():
     assert verdicts == ["fail", "fail", "pass"]
 
 
+def test_ratio_cap_fails_a_jump_the_slope_allows():
+    # flat ratios, then a 100x jump at the top N: the slope (about 2) is
+    # within the slack, the normalized top half is not within ratio_cap
+    def jump(spec, env, N, rng):
+        return (100.0 if N == 8 else 1.0, 1.0)
+
+    report = run_estimate(_fabricated_spec(0.0, slack=10.0), evaluator=jump)
+    assert report.slope["value"] < 10.0
+    assert report.verdict == "fail" and report.flags == ("ratio_cap_exceeded",)
+
+
 def test_run_estimate_degenerate_and_short():
     zero = lambda spec, env, N, rng: (0.0, 1.0)
     report = run_estimate(_fabricated_spec(0.0), evaluator=zero)
@@ -225,6 +236,10 @@ def test_guards():
         big_T.check_guard(2)
     RunEnvironment(T=2.0, allow_large_T=True).check_guard(2)
     RunEnvironment(unsafe=True).check_guard(10**6)
+    # sample grids at the run's oversample: at most 4 (2 GUARD_BANDLIMIT + 1) a side
+    RunEnvironment(oversample=4).check_guard(GUARD_BANDLIMIT)
+    with pytest.raises(GuardExceeded, match="grid side 165 > 132"):
+        RunEnvironment(oversample=5).check_guard(GUARD_BANDLIMIT)
     # the time grid a preset states is the one guarded, and unsafe lifts the guard
     spec = get_preset("embedding_checks", trials=1)
     spec = dataclasses.replace(spec, params=(("s", 0.5), ("n_time", GUARD_TIME + 1)))

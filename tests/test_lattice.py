@@ -219,6 +219,21 @@ def test_lp_norms():
         assert ones.lp_norm(p) == pytest.approx(1.0)
 
 
+def test_lp_norm_keeps_its_bits_and_stays_finite_at_large_p():
+    rng = np.random.default_rng(3)
+    z = rng.standard_normal((12, 12, 12)) + 1j * rng.standard_normal((12, 12, 12))
+    for scale in (0.3, 1.0, 3.0):
+        g = GridField(METRIC, scale * z)
+        a = np.abs(g.samples)
+        top = a.max()
+        for p in (1, 2, 3, 3.6, 6, 7.5, 15):
+            assert g.lp_norm(p) == float(np.mean(a**p) ** (1.0 / p))
+        # |u|^p leaves the float range; the norm rises to max|u|
+        norms = [g.lp_norm(p) for p in (1e3, 1e5, 1e300)]
+        assert all(np.isfinite(norms)) and norms == sorted(norms) and norms[-1] <= top
+        assert norms[-1] == pytest.approx(top, rel=1e-12)
+
+
 @pytest.mark.parametrize("p", [0.0, -2.0, 0.5, np.nan])
 def test_lp_norm_rejects_exponents_below_one(p):
     # a grid with zeros: p < 0 would give 0 and p = 0 divide by zero

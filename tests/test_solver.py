@@ -29,7 +29,7 @@ def test_zero_datum_converges_immediately():
     nl = PowerNonlinearity(2.0)
     u0 = SpectralField.zero(METRIC, 1)
     path, diag = picard_solve(u0, nl, TimeGrid(1.0, 8))
-    assert diag.converged and diag.iterations == 1
+    assert diag.iterations == 1
     assert np.max(np.abs(path.coeffs)) == 0.0
 
 
@@ -37,7 +37,6 @@ def test_small_data_contraction():
     nl = PowerNonlinearity(2.0)
     u0 = small_datum(2, seed=1, hs=0.05)
     path, diag = picard_solve(u0, nl, TimeGrid(0.5, 16))
-    assert diag.converged
     assert diag.residual < 1e-9
     assert all(r < 0.5 for r in diag.ratios)
     # first frame is the datum
@@ -72,6 +71,20 @@ def test_no_convergence_names_the_iterations_run():
     assert f"after {len(calls)} of 8 iterations" in str(exc.value)
 
 
+def test_no_convergence_when_max_iter_runs_out():
+    # a contracting iteration that max_iter stops short of tol names the
+    # last ratio of its distances
+    nl = PowerNonlinearity(2.0)
+    u0 = small_datum(2, seed=1, hs=0.5)
+    _, diag = picard_solve(u0, nl, TimeGrid(0.5, 8), max_iter=25)
+    with pytest.raises(NoConvergence) as exc:
+        picard_solve(u0, nl, TimeGrid(0.5, 8), max_iter=3)
+    err = exc.value
+    assert err.iterations == err.max_iter == 3 < diag.iterations
+    assert err.last_ratio == pytest.approx(diag.ratios[1], rel=1e-12)
+    assert "after 3 of 3 iterations" in str(err)
+
+
 def test_divergence_is_judged_relative_to_the_first_distance():
     # the same contraction at amplitude 1e13 (nonlinear time scale T |u|^2
     # kept) starts from d_0 > 1e10 and must still converge
@@ -79,7 +92,7 @@ def test_divergence_is_judged_relative_to_the_first_distance():
     for scale, T in ((1.0, 0.01), (1e13, 1e-28)):
         u0 = scale * small_datum(2, seed=1, hs=1.0)
         _, diag = picard_solve(u0, nl, TimeGrid(T, 8), tol=1e-9 * scale, max_iter=12)
-        assert diag.converged and diag.iterations == 4
+        assert diag.iterations == 4
         assert diag.distances[0] > 1e-3 * scale
 
 
@@ -138,7 +151,6 @@ def test_picard_matches_splitstep():
     T, n = 0.05, 50
     path, diag = picard_solve(u0, nl, TimeGrid(T, n), tol=1e-12)
     ss = splitstep_solve(u0, nl, T / n, n)
-    assert diag.converged
     k = n - 1
     diff = np.max(np.abs(path.frame(k).coeffs - ss.frame(k).coeffs))
     assert diff < 1e-5
@@ -155,7 +167,6 @@ def test_picard_and_splitstep_solve_the_same_equation():
     path, diag = picard_solve(u0, nl, TimeGrid(T, n), tol=1e-12)
     ss = splitstep_solve(u0, nl, T / n, n)
     exact = plane_wave_exact(u0, xi, nl, T * (n - 1) / n)
-    assert diag.converged
     assert np.max(np.abs(ss.frame(n - 1).coeffs - exact.coeffs)) < 1e-12
     assert np.max(np.abs(path.frame(n - 1).coeffs - exact.coeffs)) < 1e-6
 
@@ -205,7 +216,7 @@ def test_march_start_agrees_with_free_flow_picard():
                 continue
             path, diag = picard_solve(u0, nl, grid, oversample=2, tol=tol, max_iter=20,
                                       initial="march")
-            assert diag.converged and diag.residual <= tol
+            assert diag.residual <= tol
             assert len(diag.march_iterations) == grid.n - 1
             assert max(sobolev_norm(path.frame(k) - ref.frame(k), nl.s_c)
                        for k in range(grid.n)) <= 10 * tol
@@ -293,20 +304,22 @@ def test_find_T_halves_until_convergence():
     u0 = 2.0 * random_field(1, seed=8)
     tol = 1e-8
     T, path, diag = find_T(u0, nl, T0=1.0, n=16, tol=tol, max_iter=12)
-    assert diag.converged and diag.residual <= tol and T < 1.0
+    assert diag.residual <= tol and T < 1.0
     # the solve at the returned T is certified; the one at 2T raises
     p2, d2 = picard_solve(u0, nl, TimeGrid(T, 16), tol=tol, max_iter=12, initial="march")
-    assert d2.converged and d2.residual <= tol
+    assert d2.residual <= tol
     assert np.array_equal(p2.coeffs, path.coeffs)
     with pytest.raises(NoConvergence):
         picard_solve(u0, nl, TimeGrid(2 * T, 16), tol=tol, max_iter=12, initial="march")
 
 
-def test_find_T_failure_names_the_last_solve():
+def test_find_T_failure_names_the_last_solve(caplog):
     nl = PowerNonlinearity(2.0)
     u0 = 50.0 * random_field(1, seed=2)
-    with pytest.raises(NoConvergence) as exc:
+    with caplog.at_level("INFO", logger="torus_nls"), pytest.raises(NoConvergence) as exc:
         find_T(u0, nl, T0=1.0, n=8, max_iter=8, max_halvings=3)
+    # a halving is logged only when a solve follows it
+    assert [r.getMessage().endswith("; halving") for r in caplog.records] == [True, True]
     # solves at T = 1, 0.5, 0.25; the last march stalls at its first frame
     with pytest.raises(NoConvergence) as last:
         picard_solve(u0, nl, TimeGrid(0.25, 8), max_iter=8, initial="march")
