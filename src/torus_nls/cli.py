@@ -70,7 +70,7 @@ def cmd_solve(args, cfg: RunConfig, seed: int) -> int:
     start = time.perf_counter()
     try:  # without --find-T, one solve at the config's T
         T, path, diag = find_T(u0, nl, cfg.T, cfg.n_time, cfg.oversample,
-                               max_halvings=20 if args.find_T else 1)
+                               max_halvings=19 if args.find_T else 0)
     except NoConvergence as exc:
         print(f"no convergence: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

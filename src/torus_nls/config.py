@@ -12,6 +12,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .lattice import TorusMetric
+from .littlewood_paley import PROFILES
 from .nonlinearity import PowerNonlinearity
 from .norms import TimeGrid
 
@@ -38,7 +39,7 @@ class RunConfig:
         self.metric
         PowerNonlinearity(self.p, self.sign)
         TimeGrid(self.T, self.n_time)
-        if self.profile not in ("sharp", "smooth"):
+        if self.profile not in PROFILES:
             raise ConfigError(f"profile must be sharp|smooth, got {self.profile!r}")
         if self.bandlimit < 0:
             raise ConfigError(f"bandlimit must be non-negative, got {self.bandlimit}")

@@ -33,27 +33,27 @@ class NoConvergence(TorusNlsError):
     budget, and when Picard's final residual is above its tolerance
     (``residual`` holds it).  ``iterations`` and ``last_ratio`` describe the
     iteration that gave up: the frame's fixed point for the march, the
-    whole-window iteration for Picard.
+    whole-window iteration for Picard.  find_T sets ``T`` and ``halvings``
+    on the last solve's error before re-raising it; the message is built
+    from the attributes when it is shown.
     """
 
-    def __init__(self, max_iter, last_ratio, iterations=None, T=None, halvings=None,
-                 frame=None, residual=None):
-        iterations = max_iter if iterations is None else iterations
-        what = "no contraction" if frame is None else f"march stalled at frame {frame}"
-        above = "" if residual is None else f", residual {residual:.3g} above tol"
-        # find_T names the last T it tried and how often it halved T to get there
-        where = "" if T is None else f" at T={T:g} after {halvings} halvings of T"
-        super().__init__(
-            f"{what} after {iterations} of {max_iter} iterations "
-            f"(last ratio {last_ratio:.3g}{above}){where}; try a smaller T or smaller data"
-        )
+    def __init__(self, max_iter, last_ratio, iterations=None, frame=None, residual=None):
         self.max_iter = max_iter
-        self.iterations = iterations
+        self.iterations = max_iter if iterations is None else iterations
         self.last_ratio = last_ratio
-        self.T = T
-        self.halvings = halvings
         self.frame = frame
         self.residual = residual
+        self.T = self.halvings = None
+
+    def __str__(self):
+        what = ("no contraction" if self.frame is None
+                else f"march stalled at frame {self.frame}")
+        above = "" if self.residual is None else f", residual {self.residual:.3g} above tol"
+        where = "" if self.T is None else f" at T={self.T:g} after {self.halvings} halvings of T"
+        return (f"{what} after {self.iterations} of {self.max_iter} iterations "
+                f"(last ratio {self.last_ratio:.3g}{above}){where}; "
+                "try a smaller T or smaller data")
 
 
 class SamplerDegenerate(TorusNlsError):

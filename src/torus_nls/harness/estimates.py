@@ -81,11 +81,12 @@ class RunEnvironment:
     unsafe: bool = False
     allow_large_T: bool = False
 
-    def check_guard(self, bandlimit: int = 0, n_time: int = 0):
-        """desk_guard at this run's oversample, then 0 < T <= 1; unsafe lifts both."""
+    def check_guard(self, bandlimit: int = 0, n_time: int = 0, oversample: int | None = None):
+        """desk_guard at the oversample the grids are made at (by default this
+        run's), then 0 < T <= 1; unsafe lifts both."""
         if self.unsafe:
             return
-        desk_guard(bandlimit, n_time, self.oversample)
+        desk_guard(bandlimit, n_time, self.oversample if oversample is None else oversample)
         if self.T > 1.0 and not self.allow_large_T:
             raise GuardExceeded("harness runs require 0 < T <= 1 (use allow_large_T)")
 

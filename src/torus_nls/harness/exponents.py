@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from ..errors import EpsilonTooLarge
 
 STRICHARTZ_FLOOR = 10.0 / 3.0
+EPSILON_TOL = 1e-12  # width of the bracket epsilon_max's bisection stops at
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,7 @@ def hoelder_exponents(p: float, eps: float, case: str = "low") -> HoelderExponen
     raise ValueError(f"case must be 'low' or 'high', got {case!r}")
 
 
-def epsilon_max(p: float, case: str = "low", tol: float = 1e-12) -> float:
+def epsilon_max(p: float, case: str = "low") -> float:
     """Largest eps keeping every r_i > 10/3, located by bisection."""
     lo, hi = 0.0, 1.0
     # eps -> 1 is never admissible, and r0 is the exponent that binds in
@@ -116,7 +117,7 @@ def epsilon_max(p: float, case: str = "low", tol: float = 1e-12) -> float:
         except EpsilonTooLarge:
             return False
 
-    while hi - lo > tol:
+    while hi - lo > EPSILON_TOL:
         mid = 0.5 * (lo + hi)
         if ok(mid):
             lo = mid

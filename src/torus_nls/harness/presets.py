@@ -38,8 +38,10 @@ def _sample(spec, env, N, rng, M, grid, **over) -> SpaceTimePath:
     return sample_path(s, env.metric, M, N, grid, rng)
 
 
-def _field(spec, env, N, rng, M, **over) -> SpectralField:
-    env.check_guard(M)
+def _field(spec, env, N, rng, M, oversample=None, **over) -> SpectralField:
+    """A random field of bandlimit M, guarded at the oversample of its grids
+    (by default the run's)."""
+    env.check_guard(M, oversample=oversample)
     s = replace(spec.sampler, **over) if over else spec.sampler
     return random_field(s, env.metric, M, N, rng)
 
@@ -135,8 +137,8 @@ def _gradient_family_evaluator(spec, env, N, rng):
 def _frac_product_evaluator(spec, env, N, rng):
     s = spec.param("s")
     M = N
-    u = _field(spec, env, N, rng, M)
-    v = _field(spec, env, N, rng, M)
+    u = _field(spec, env, N, rng, M, oversample=2)
+    v = _field(spec, env, N, rng, M, oversample=2)
     gu, gv = to_grid(u, 2), to_grid(v, 2)
     prod = to_spectral(GridField(u.metric, gu.samples * gv.samples), 2 * M)  # uv is 2M-limited
     lhs = sobolev_norm(prod, s)
@@ -153,7 +155,7 @@ def _frac_chain_evaluator(spec, env, N, rng):
     p = spec.param("p")
     nl = PowerNonlinearity(p)
     M = N
-    u = _field(spec, env, N, rng, M)
+    u = _field(spec, env, N, rng, M, oversample=4)
     gu = to_grid(u, 4).samples
     F_trunc = to_spectral(GridField(u.metric, evaluate_F(gu, nl)), 2 * M)
     lhs = sobolev_norm(F_trunc, s)
@@ -169,7 +171,8 @@ def _bernstein_evaluator(spec, env, N, rng):
     p = spec.param("p")
     alpha = p - 2.0
     M_out = int(spec.param("out_bandlimit"))
-    u = _field(spec, env, int(spec.param("data_band")), rng, M_out, support="ball")
+    u = _field(spec, env, int(spec.param("data_band")), rng, M_out, oversample=4,
+               support="ball")
     G = _hoelder_factor(u, alpha, M_out)
     lhs = to_grid(project_dyadic(G, N, env.profile), 2).lp_norm(p / alpha)
     gmag = np.sqrt(
@@ -184,7 +187,7 @@ def _bony_evaluator(spec, env, N, rng):
     q = spec.param("q")
     nl = PowerNonlinearity(p)
     M = int(spec.param("bandlimit"))
-    g = _field(spec, env, M, rng, M, support="ball")
+    g = _field(spec, env, M, rng, M, oversample=4, support="ball")
     lhs = bony_tail(g, N, nl, q, oversample=4, profile=env.profile)
     diff = g - project_leq(g, N, env.profile)
     r = 3.0 * q / (3.0 - 2.0 * q)
@@ -278,7 +281,7 @@ def _contraction_evaluator(spec, env, N, rng):
     """N is reused as an amplitude scale (the estimate carries no frequency
     parameter); exact homogeneity predicts slope 0 in N."""
     M = int(spec.param("bandlimit"))
-    env.check_guard(M)
+    env.check_guard(M, oversample=4)  # contraction_ratio's grids
     grid = _mk_grid(spec, env)
     return contraction_ratio(spec.param("p"), 0.05 * N, M, grid, env, rng), 1.0
 

@@ -43,11 +43,11 @@ from .lattice import GridField, SpectralField, slabs, to_grid, to_spectral
 from .littlewood_paley import blended_projection, project_dyadic, project_leq
 
 
-def s_critical(p: float, d: int = 3) -> float:
-    """Scaling-critical Sobolev regularity d/2 - 2/p."""
-    if p <= 0 or d < 1:
-        raise ValueError("need p > 0 and d >= 1")
-    return d / 2.0 - 2.0 / p
+def s_critical(p: float) -> float:
+    """Scaling-critical Sobolev regularity 3/2 - 2/p on the 3-torus."""
+    if not p > 0:  # also rejects NaN
+        raise ValueError("need p > 0")
+    return 1.5 - 2.0 / p
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ class PowerNonlinearity:
 
     @property
     def s_c(self) -> float:
-        return s_critical(self.p, 3)
+        return s_critical(self.p)
 
 
 def max_wirtinger_order(p: float) -> int:

@@ -206,9 +206,7 @@ class SpaceTimePath:
         return (to_grid(self.frame(k), oversample) for k in range(self.grid.n))
 
     def map_frames(self, fn) -> "SpaceTimePath":
-        """fn of every frame; a static path calls fn once and stays static."""
-        if self.static is not None:
-            return SpaceTimePath.from_fields(self.grid, [fn(self.static)] * self.grid.n)
+        """fn of every frame."""
         return SpaceTimePath.from_fields(self.grid, [fn(self.frame(k)) for k in range(self.grid.n)])
 
     def mode_path(self, xi) -> ModePath:

@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NoConvergence
-from .evolution import duhamel_operator, free_flow_path
-from .lattice import (GridField, SpectralField, gradient_fields, q_grid, to_grid,
+from .evolution import duhamel_operator, free_flow_path, propagate
+from .lattice import (GridField, SpectralField, gradient_fields, q_form, q_grid, to_grid,
                       to_spectral)
 from .nonlinearity import PowerNonlinearity, apply_F
 from .norms import SpaceTimePath, TimeGrid, flow_phases, sobolev_norm
@@ -134,11 +134,11 @@ def picard_solve(
     max_iter), so the iteration certifies the marched path; its per-frame
     iterations go into the diagnostics, and the F the march computed for
     each kept frame is the forcing of the first Duhamel call, so that call
-    evaluates no F.  initial="zero" starts from the zero path -- useful as a
-    uniqueness probe (both seeds must land on the same fixed point).  Raises
-    NoConvergence when the iterates diverge, when max_iter iterations do not
-    reach tol, or when the final residual ||Phi(u*) - u*|| is above tol;
-    FloatingPointError when F of an iterate is not finite.
+    evaluates no F.  Raises NoConvergence when a step is not finite or
+    exceeds 1e10 d_0 (even below tol), when max_iter iterations do not reach
+    tol -- both name the last ratio d_k / d_{k-1} -- or when the final
+    residual ||Phi(u*) - u*|| is above tol; FloatingPointError when F of an
+    iterate is not finite.
     """
     if tol <= 0 or max_iter < 1:
         raise ValueError("need tol > 0 and max_iter >= 1")
@@ -152,9 +152,6 @@ def picard_solve(
         t0 = time.perf_counter()
         u, march_iterations, forcing = _march(u0, nl, grid, oversample, tol, max_iter)
         march_s = time.perf_counter() - t0
-    elif initial == "zero":
-        zero = SpectralField.zero(u0.metric, u0.bandlimit)
-        u = SpaceTimePath.from_fields(grid, [zero] * grid.n)
     else:
         raise ValueError(f"unknown initial iterate {initial!r}")
     t0 = time.perf_counter()
@@ -165,29 +162,23 @@ def picard_solve(
         d = _path_distance(nxt, u, s)
         distances.append(d)
         u = nxt
-        if not np.isfinite(d) or d > 1e10 * distances[0]:
-            # hard divergence (relative to the first step, so the test does not
-            # depend on the scale of the data); bail before the iterates overflow
-            last = distances[-1] / distances[-2] if len(distances) > 1 else np.inf
-            raise NoConvergence(max_iter, last, iterations=len(distances))
-        if d < tol:
-            ratios = tuple(
-                distances[i + 1] / distances[i]
-                for i in range(len(distances) - 1)
-                if distances[i] > 0
-            )
-            residual = _path_distance(duhamel_operator(u, u0, nl, oversample), u, s)
-            if residual > tol:
-                raise NoConvergence(max_iter, residual / d, iterations=len(distances),
-                                    residual=residual)
-            timings = {"march_s": march_s, "picard_s": time.perf_counter() - t0}
-            return u, PicardDiagnostics(
-                tuple(distances), ratios, residual, len(distances), march_iterations, timings,
-            )
-    last_ratio = (
-        distances[-1] / distances[-2] if len(distances) > 1 and distances[-2] > 0 else np.inf
+        # hard divergence (relative to the first step, so the test does not
+        # depend on the scale of the data) stops before the iterates overflow
+        diverged = not np.isfinite(d) or d > 1e10 * distances[0]
+        if diverged or d < tol:
+            break
+    ratios = tuple(b / a for a, b in zip(distances, distances[1:]) if a > 0)
+    if diverged or not d < tol:
+        raise NoConvergence(max_iter, ratios[-1] if ratios else np.inf,
+                            iterations=len(distances))
+    residual = _path_distance(duhamel_operator(u, u0, nl, oversample), u, s)
+    if residual > tol:
+        raise NoConvergence(max_iter, residual / d, iterations=len(distances),
+                            residual=residual)
+    timings = {"march_s": march_s, "picard_s": time.perf_counter() - t0}
+    return u, PicardDiagnostics(
+        tuple(distances), ratios, residual, len(distances), march_iterations, timings,
     )
-    raise NoConvergence(max_iter, last_ratio)
 
 
 def splitstep_solve(
@@ -203,9 +194,7 @@ def splitstep_solve(
     oversampled grid, full linear propagate, half nonlinear.  Returns the
     path sampled at t_k = k*dt, k = 0..steps-1 (frame 0 is the datum).
     """
-    if dt <= 0 or steps < 2:
-        raise ValueError("need dt > 0 and steps >= 2")
-    from .evolution import propagate
+    grid = TimeGrid(dt * steps, steps)  # states the rule of dt and steps
 
     def half_phase(f: SpectralField) -> SpectralField:
         g = to_grid(f, oversample)
@@ -217,7 +206,7 @@ def splitstep_solve(
     for _ in range(steps - 1):
         u = half_phase(propagate(half_phase(u), dt))
         frames.append(u)
-    return SpaceTimePath.from_fields(TimeGrid(dt * steps, steps), frames)
+    return SpaceTimePath.from_fields(grid, frames)
 
 
 def mass(field_: SpectralField) -> float:
@@ -242,8 +231,6 @@ def plane_wave_exact(
     u0: SpectralField, xi, nl: PowerNonlinearity, t: float
 ) -> SpectralField:
     """Exact solution for single-mode data c*e_xi: u(t) = e^{-i(sign|c|^p + cQ)t} c e_xi."""
-    from .lattice import q_form
-
     c = u0.coefficient(xi)
     phase = np.exp(
         -1j * (nl.sign * abs(c) ** nl.p + u0.metric.laplace_scale * q_form(u0.metric, xi)) * t
@@ -259,28 +246,26 @@ def find_T(
     oversample: int = 4,
     tol: float = 1e-8,
     max_iter: int = 20,
-    max_halvings: int = 20,
+    max_halvings: int = 19,
 ) -> tuple[float, SpaceTimePath, PicardDiagnostics]:
     """Halve T until the marched solve converges; empirical local-existence threshold.
 
     Each solve is picard_solve(initial="march"): the march must reach every
     frame and Picard must then certify the marched path with residual <= tol.
-    Makes at most max_halvings solves, at T0, T0/2, ...; when all fail it
-    raises the last solve's NoConvergence, naming that T.
+    Solves at T0, T0/2, ..., T0/2^max_halvings (max_halvings = 0 is one
+    solve); when all fail it re-raises the last solve's NoConvergence with T
+    and halvings set to that solve's.
     """
-    if max_halvings < 1:
-        raise ValueError("need max_halvings >= 1")
-    for halvings in range(max_halvings):
+    if max_halvings < 0:
+        raise ValueError("need max_halvings >= 0")
+    for halvings in range(max_halvings + 1):
         T = T0 / 2.0**halvings
         try:
             path, diag = picard_solve(u0, nl, TimeGrid(T, n), oversample, tol, max_iter,
                                       initial="march")
             return T, path, diag
         except NoConvergence as exc:
-            last = exc.with_traceback(None)  # its frames hold the failed iterates
-            if halvings + 1 < max_halvings:
-                log.info("no convergence at T=%g (%s); halving", T, exc)
-    raise NoConvergence(
-        last.max_iter, last.last_ratio, last.iterations, T=T, halvings=halvings,
-        frame=last.frame, residual=last.residual,
-    ) from last
+            if halvings == max_halvings:
+                exc.T, exc.halvings = T, halvings
+                raise exc.with_traceback(None)  # its frames hold the failed iterates
+            log.info("no convergence at T=%g (%s); halving", T, exc)

@@ -32,20 +32,13 @@ from torus_nls.norms import (SpaceTimePath, TimeGrid, sobolev_norm, v2_norm,
 from torus_nls.solver import (mass, picard_solve, plane_wave_exact,
                               splitstep_solve)
 
-METRIC = TorusMetric((1.0, np.sqrt(2.0), np.sqrt(3.0)))
+from helpers import METRIC, brute_v2, random_field
 
 
 def _report(n: int, name: str, ok: bool, detail: str = ""):
     print(f"\nACCEPTANCE {n} {name}: {'PASS' if ok else 'FAIL'}"
           + (f" ({detail})" if detail else ""))
     assert ok, f"acceptance criterion {n} ({name}) failed: {detail}"
-
-
-def _random_field(M, seed, scale=1.0, metric=METRIC):
-    rng = np.random.default_rng(seed)
-    nn = 2 * M + 1
-    return SpectralField(metric, M, scale * (rng.standard_normal((nn,) * 3)
-                                             + 1j * rng.standard_normal((nn,) * 3)))
 
 
 # --------------------------------------------------------------- criterion 1
@@ -60,7 +53,7 @@ def test_acceptance_1_exact_identities():
         worst = max(worst, float(np.max(np.abs(total - 1.0))))
 
     # sharp idempotence / orthogonality
-    f = _random_field(4, seed=1)
+    f = random_field(4, seed=1)
     for N in (1, 2, 4):
         pN = project_dyadic(f, N)
         worst = max(worst, float(np.max(np.abs((project_dyadic(pN, N) - pN).coeffs))))
@@ -68,7 +61,7 @@ def test_acceptance_1_exact_identities():
 
     # telescoping paradifferential partial sums
     nl = PowerNonlinearity(2.5)
-    g = _random_field(2, seed=2, scale=0.5)
+    g = random_field(2, seed=2, scale=0.5)
     for N in (1, 2, 4):
         direct = apply_F(project_leq(g, N), nl, oversample=4)
         tele = bony_partial_sum(g, N, nl, oversample=4)
@@ -78,7 +71,7 @@ def test_acceptance_1_exact_identities():
     worst = max(worst, cube_identity_check(8, 4, 2, seed=3))
 
     # Parseval
-    h = _random_field(3, seed=4)
+    h = random_field(3, seed=4)
     worst = max(worst, abs(to_grid(h, 2).l2_norm() - h.l2_norm()))
 
     # propagator unitarity and group law
@@ -95,17 +88,6 @@ def test_acceptance_1_exact_identities():
 
 # --------------------------------------------------------------- criterion 2
 
-def _brute_v2(values):
-    a = list(values) + [0.0]
-    n = len(a)
-    best = 0.0
-    for k in range(2, n + 1):
-        for chain in itertools.combinations(range(n), k):
-            best = max(best, sum(abs(a[chain[i + 1]] - a[chain[i]]) ** 2
-                                 for i in range(k - 1)))
-    return float(np.sqrt(best))
-
-
 def test_acceptance_2_oracle_equivalence():
     # V^2 dynamic program against the exhaustive partition maximum
     rng = np.random.default_rng(100)
@@ -113,7 +95,7 @@ def test_acceptance_2_oracle_equivalence():
     for _ in range(1000):
         n = int(rng.integers(2, 13))
         vals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        got, want = v2_norm(vals), _brute_v2(vals)
+        got, want = v2_norm(vals), brute_v2(vals)
         v2_worst = max(v2_worst, abs(got - want) / max(want, 1e-300))
 
     # closed-form derivatives against central finite differences
@@ -166,7 +148,7 @@ def test_acceptance_3_norm_structure():
     grid = TimeGrid(1.0, 16)
 
     # adapted norm of free flows reduces to the data Sobolev norm
-    u0 = _random_field(2, seed=10)
+    u0 = random_field(2, seed=10)
     path = free_flow_path(u0, grid)
     flow_dev = max(abs(y_norm(path, s) - sobolev_norm(u0, s))
                    for s in (-0.5, 0.0, 0.5, 1.5))
@@ -256,7 +238,7 @@ def test_acceptance_5_linearization():
 
         # dyadic-difference reconstruction, one random field per trial
         for trial in range(1000):
-            f = _random_field(1, seed=trial + int(1000 * p), scale=0.5)
+            f = random_field(1, seed=trial + int(1000 * p), scale=0.5)
             t1, t2 = lp_difference_linearize(f, 2, nl, quad_nodes=16, oversample=2)
             lo = to_grid(project_leq(f, 1), 2).samples
             hi = to_grid(project_leq(f, 2), 2).samples
@@ -314,7 +296,7 @@ def test_acceptance_6_contraction():
 def test_acceptance_7_solver():
     nl = PowerNonlinearity(2.0)
     M, T, n = 8, 0.05, 50
-    u0 = _random_field(M, seed=30)
+    u0 = random_field(M, seed=30)
     u0 = (0.01 / sobolev_norm(u0, 0.5)) * u0
 
     path, diag = picard_solve(u0, nl, TimeGrid(T, n), tol=1e-12)
@@ -326,7 +308,7 @@ def test_acceptance_7_solver():
     ratios_ok = all(r < 0.5 for r in diag.ratios[1:])
 
     # long split-step run: mass drift
-    small = _random_field(4, seed=31)
+    small = random_field(4, seed=31)
     small = (0.01 / sobolev_norm(small, 0.5)) * small
     long_run = splitstep_solve(small, nl, 1e-4, 1000)
     drift = abs(mass(long_run.frame(999)) - mass(small))

@@ -19,16 +19,9 @@ from torus_nls.config import (RunConfig, config_dict, load_config,
 from torus_nls.errors import ConfigError
 from torus_nls.io import (load_field, save_field, summarize_reports,
                           write_report, write_summary)
-from torus_nls.lattice import SpectralField, TorusMetric
+from torus_nls.lattice import SpectralField
 
-METRIC = TorusMetric((1.0, np.sqrt(2.0), np.sqrt(3.0)))
-
-
-def random_field(M=2, seed=0):
-    rng = np.random.default_rng(seed)
-    nn = 2 * M + 1
-    return SpectralField(METRIC, M, rng.standard_normal((nn,) * 3)
-                         + 1j * rng.standard_normal((nn,) * 3))
+from helpers import METRIC, random_field
 
 
 # -------------------------------------------------------------------- config

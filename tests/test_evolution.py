@@ -6,18 +6,11 @@ from hypothesis import strategies as st
 from torus_nls.evolution import (_duhamel_partials, duhamel_integral,
                                  duhamel_operator, free_flow_path,
                                  one_mode_duhamel_exact, propagate)
-from torus_nls.lattice import SpectralField, TorusMetric, q_form
+from torus_nls.lattice import TorusMetric, q_form
 from torus_nls.nonlinearity import PowerNonlinearity, apply_F
 from torus_nls.norms import SpaceTimePath, TimeGrid, sobolev_norm
 
-METRIC = TorusMetric((1.0, np.sqrt(2.0), np.sqrt(3.0)))
-
-
-def random_field(M=2, seed=0, scale=1.0):
-    rng = np.random.default_rng(seed)
-    nn = 2 * M + 1
-    return SpectralField(METRIC, M, scale * (rng.standard_normal((nn,) * 3)
-                                             + 1j * rng.standard_normal((nn,) * 3)))
+from helpers import METRIC, random_field
 
 
 def test_propagate_unitary_and_group_law():

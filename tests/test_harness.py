@@ -12,10 +12,10 @@ from torus_nls.harness import (GUARD_BANDLIMIT, GUARD_TIME, EstimateSpec, RunEnv
                                preset_names, preset_registry, random_field,
                                run_estimate, sample_path, support_mask,
                                vanishing_check)
-from torus_nls.lattice import TorusMetric, lattice_points
+from torus_nls.lattice import lattice_points
 from torus_nls.norms import TimeGrid
 
-METRIC = TorusMetric((1.0, np.sqrt(2.0), np.sqrt(3.0)))
+from helpers import METRIC
 
 
 # ---------------------------------------------------------------- exponents
@@ -248,6 +248,18 @@ def test_guards():
     lhs, rhs = get_evaluator("embedding_checks")(spec, RunEnvironment(unsafe=True), 2,
                                                  np.random.default_rng(0))
     assert lhs > 0 and rhs > 0
+
+
+def test_guard_sees_the_oversample_each_grid_is_made_at():
+    # nonlinear_bernstein samples its bandlimit-16 field only at a fixed 4
+    # (132 a side), so the run's oversample 5 does not stop it; the grids of
+    # comparable_p23_high are at the run's oversample, 165 a side
+    env = RunEnvironment(oversample=5)
+    lhs, rhs = get_evaluator("nonlinear_bernstein")(get_preset("nonlinear_bernstein"), env, 2,
+                                                    np.random.default_rng(0))
+    assert lhs > 0 and rhs > 0
+    with pytest.raises(GuardExceeded, match="grid side 165 > 132"):
+        run_estimate(get_preset("comparable_p23_high", trials=1), env)
 
 
 # -------------------------------------------------------------------- presets

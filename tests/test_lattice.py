@@ -9,14 +9,7 @@ from torus_nls.lattice import (DEFAULT_LAPLACE_SCALE, GridField, SpectralField,
                                fractional_multiplier, gradient_fields, lattice_points,
                                q_form, q_grid, to_grid, to_spectral)
 
-METRIC = TorusMetric((1.0, np.sqrt(2.0), np.sqrt(3.0)))
-
-
-def random_field(M=2, seed=0, metric=METRIC, scale=1.0):
-    rng = np.random.default_rng(seed)
-    nn = 2 * M + 1
-    c = scale * (rng.standard_normal((nn,) * 3) + 1j * rng.standard_normal((nn,) * 3))
-    return SpectralField(metric, M, c)
+from helpers import METRIC, random_field
 
 
 def test_metric_validation():

@@ -4,20 +4,13 @@ import numpy as np
 import pytest
 
 from torus_nls.harness.checks import _sum_box_distance
-from torus_nls.lattice import SpectralField, TorusMetric, euclidean_norm_grid
+from torus_nls.lattice import SpectralField, euclidean_norm_grid
 from torus_nls.littlewood_paley import (blended_projection, cube_mask,
                                         dyadic_ladder, phi_weight,
                                         project_dyadic, project_leq,
                                         psi_weight)
 
-METRIC = TorusMetric((1.0, np.sqrt(2.0), np.sqrt(3.0)))
-
-
-def random_field(M=4, seed=0):
-    rng = np.random.default_rng(seed)
-    nn = 2 * M + 1
-    return SpectralField(METRIC, M, rng.standard_normal((nn,) * 3)
-                         + 1j * rng.standard_normal((nn,) * 3))
+from helpers import METRIC, random_field
 
 
 @pytest.mark.parametrize("profile", ["sharp", "smooth"])

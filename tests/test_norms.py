@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,14 +14,7 @@ from torus_nls.norms import (ModePath, SpaceTimePath, TimeGrid, _kappa,
                              flow_phases, sobolev_norm, spacetime_lp,
                              u2_upper_bound, v2_norm, y_norm)
 
-METRIC = TorusMetric((1.0, np.sqrt(2.0), np.sqrt(3.0)))
-
-
-def random_field(M=2, seed=0, scale=1.0):
-    rng = np.random.default_rng(seed)
-    nn = 2 * M + 1
-    return SpectralField(METRIC, M, scale * (rng.standard_normal((nn,) * 3)
-                                             + 1j * rng.standard_normal((nn,) * 3)))
+from helpers import METRIC, brute_v2, random_field
 
 
 def random_path(M=2, n_t=8, T=1.0, seed=0):
@@ -40,18 +31,6 @@ def many_step_path(grid, metric, M, rng):
     cuts = np.sort(rng.choice(np.arange(1, grid.n), size=k - 1, replace=False))
     steps = rng.standard_normal((k, nn, nn, nn)) + 1j * rng.standard_normal((k, nn, nn, nn))
     return SpaceTimePath.free_steps(grid, metric, M, steps, cuts)
-
-
-def brute_v2(values):
-    """Supremum over all increasing index chains, terminal value 0 appended."""
-    a = list(values) + [0.0]
-    n = len(a)
-    best = 0.0
-    for k in range(2, n + 1):
-        for chain in itertools.combinations(range(n), k):
-            best = max(best, sum(abs(a[chain[i + 1]] - a[chain[i]]) ** 2
-                                 for i in range(k - 1)))
-    return np.sqrt(best)
 
 
 def test_time_grid():
@@ -294,17 +273,13 @@ def test_static_path_holds_its_one_field(monkeypatch):
     assert stored.static is None
     for s in (-0.5, 0.5):
         assert y_norm(stored, s) == pytest.approx(y_norm(static, s), rel=1e-12)
-    # one L^p norm and one call of a mapped function serve every node, bit for bit
+    # one L^p norm serves every node, bit for bit
     calls = []
     lp_norm = GridField.lp_norm
     monkeypatch.setattr(GridField, "lp_norm", lambda g, p: calls.append(p) or lp_norm(g, p))
     for p_t in (4.0, np.inf):
         assert spacetime_lp(static, p_t, 3.0) == spacetime_lp(stored, p_t, 3.0)
     assert len(calls) == 2 * (1 + grid.n)
-    calls.clear()
-    mapped = static.map_frames(lambda g: calls.append(g) or 2.0 * g)
-    assert len(calls) == 1 and mapped.static is not None
-    assert mapped.coeffs.tobytes() == stored.map_frames(lambda g: 2.0 * g).coeffs.tobytes()
 
 
 def test_kappa_is_computed_once_per_grid_and_read_only():

@@ -9,14 +9,7 @@ from torus_nls.norms import TimeGrid, sobolev_norm
 from torus_nls.solver import (energy, find_T, march_solve, mass, picard_solve,
                               plane_wave_exact, splitstep_solve)
 
-METRIC = TorusMetric((1.0, np.sqrt(2.0), np.sqrt(3.0)))
-
-
-def random_field(M=2, seed=0, scale=1.0):
-    rng = np.random.default_rng(seed)
-    nn = 2 * M + 1
-    return SpectralField(METRIC, M, scale * (rng.standard_normal((nn,) * 3)
-                                             + 1j * rng.standard_normal((nn,) * 3)))
+from helpers import METRIC, random_field
 
 
 def small_datum(M=2, seed=0, hs=0.05, s=None):
@@ -109,16 +102,11 @@ def test_focusing_defocusing_agree_for_small_data():
     assert diff < 2.1 * max(dev_f, dev_d)
 
 
-def test_uniqueness_probe_seed_independence():
+def test_picard_rejects_an_unknown_initial_iterate():
     nl = PowerNonlinearity(2.5)
     u0 = small_datum(1, seed=4, hs=0.05, s=nl.s_c)
-    grid = TimeGrid(0.3, 8)
-    tol = 1e-11
-    a, _ = picard_solve(u0, nl, grid, tol=tol, initial="free_flow")
-    b, _ = picard_solve(u0, nl, grid, tol=tol, initial="zero")
-    assert np.max(np.abs(a.coeffs - b.coeffs)) < 10 * tol
     with pytest.raises(ValueError):
-        picard_solve(u0, nl, grid, initial="midpoint")
+        picard_solve(u0, nl, TimeGrid(0.3, 8), initial="midpoint")
 
 
 def test_splitstep_plane_wave_exact():
@@ -317,7 +305,7 @@ def test_find_T_failure_names_the_last_solve(caplog):
     nl = PowerNonlinearity(2.0)
     u0 = 50.0 * random_field(1, seed=2)
     with caplog.at_level("INFO", logger="torus_nls"), pytest.raises(NoConvergence) as exc:
-        find_T(u0, nl, T0=1.0, n=8, max_iter=8, max_halvings=3)
+        find_T(u0, nl, T0=1.0, n=8, max_iter=8, max_halvings=2)
     # a halving is logged only when a solve follows it
     assert [r.getMessage().endswith("; halving") for r in caplog.records] == [True, True]
     # solves at T = 1, 0.5, 0.25; the last march stalls at its first frame
@@ -330,4 +318,4 @@ def test_find_T_failure_names_the_last_solve(caplog):
     assert f"march stalled at frame 1 after {err.iterations} of 8 iterations" in str(err)
     assert "at T=0.25 after 2 halvings of T" in str(err)
     with pytest.raises(ValueError):
-        find_T(u0, nl, max_halvings=0)
+        find_T(u0, nl, max_halvings=-1)
