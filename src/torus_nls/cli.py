@@ -3,9 +3,10 @@
 Subcommands: solve, verify, norms, field, report.  Exit codes: 0 success /
 verdict pass, 1 verdict fail, 2 usage or config error (any bad parameter or
 path), 3 numerical error (non-finite values, desk guard, divergence).
-cli_main reads the config (--config, or the defaults) and the seed once and
-hands both to the command.  Seed precedence: --seed flag > TORUS_NLS_SEED
-environment variable > config file.
+cli_main first fixes glibc's malloc thresholds for its process
+(io.settle_allocator), then reads the config (--config, or the defaults) and
+the seed once and hands both to the command.  Seed precedence: --seed flag >
+TORUS_NLS_SEED environment variable > config file.
 """
 
 from __future__ import annotations
@@ -233,6 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cli_main(argv=None) -> int:
+    tio.settle_allocator()  # first, before anything allocates: the process is the CLI's
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

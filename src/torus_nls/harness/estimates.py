@@ -18,9 +18,11 @@ from ..io import provenance
 from ..lattice import TorusMetric
 from .samplers import SamplerSpec
 
-# desk-scale guard: lattice at most 33^3 (M <= 16), time grid at most 512
+# desk-scale guard: lattice at most 33^3 (M <= 16), time grid at most 512,
+# sample grids at most 132^3
 GUARD_BANDLIMIT = 16
 GUARD_TIME = 512
+GUARD_GRID_SIDE = 4 * (2 * GUARD_BANDLIMIT + 1)
 
 DEFAULT_SLOPE_SLACK = 0.15
 DEFAULT_RATIO_CAP = 3.0
@@ -29,10 +31,10 @@ DEFAULT_RATIO_CAP = 3.0
 def desk_guard(bandlimit: int, n_time: int = 0, oversample: int = 1) -> None:
     """GuardExceeded before allocating past desk scale: a lattice of at most
     GUARD_BANDLIMIT, a time grid of at most GUARD_TIME nodes, and sample grids
-    of at most 4 (2 GUARD_BANDLIMIT + 1) points a side."""
+    of at most GUARD_GRID_SIDE points a side."""
     over = [f"{name} {value} > {limit}" for name, value, limit in (
         ("bandlimit", bandlimit, GUARD_BANDLIMIT), ("time grid", n_time, GUARD_TIME),
-        ("grid side", oversample * (2 * bandlimit + 1), 4 * (2 * GUARD_BANDLIMIT + 1)),
+        ("grid side", oversample * (2 * bandlimit + 1), GUARD_GRID_SIDE),
     ) if value > limit]
     if over:
         raise GuardExceeded(f"{', '.join(over)}: past the desk guard")

@@ -214,7 +214,9 @@ def _draw_factors(spec, env, N, rng):
 def _integral(grid: TimeGrid, env, fields, weight=None) -> float:
     """T |mean(prod to_grid(f) * weight)|: the space-time integral of a
     product of static factors, times an optional grid weight."""
-    prod = np.prod([to_grid(f, env.oversample).samples for f in fields], axis=0)
+    prod = to_grid(fields[0], env.oversample).samples
+    for f in fields[1:]:
+        prod *= to_grid(f, env.oversample).samples
     if weight is not None:
         prod *= weight
     return grid.T * abs(np.mean(prod))

@@ -1,4 +1,5 @@
-"""Persistence: .field.json spectral fields, report JSON/CSV pairs.
+"""Persistence: .field.json spectral fields, report JSON/CSV pairs, and the
+provenance every artifact records.
 
 Fields are stored as explicit (re, im) pairs in row-major lattice order.
 The writer is orjson, whose float text is the shortest representation that
@@ -9,6 +10,7 @@ bit-exact and files written by json.dumps load unchanged.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from pathlib import Path
 
@@ -18,10 +20,62 @@ from . import __version__
 from .errors import ConfigError
 from .lattice import SpectralField, TorusMetric
 
+_CHECKOUT = Path(__file__).resolve().parents[2]  # the working tree, when run from src/
+
+
+@functools.cache
+def settle_allocator() -> dict | None:
+    """Fix glibc's malloc thresholds for the rest of the process, once: every
+    grid the desk guard admits (at most GUARD_GRID_SIDE^3 complex128, 36.8 MB)
+    then comes from one heap that is kept and reused, not from fresh mmaps
+    that fault in again on each use.  M_MMAP_THRESHOLD is the smallest power
+    of two at or above that grid, 64 MiB, and M_TRIM_THRESHOLD four times it.
+    Only the CLI, which owns its process, calls this.  Returns the thresholds
+    mallopt applied, or None where it is missing (not glibc) or applied none."""
+    import ctypes  # here with its one use: only the CLI settles the allocator
+
+    from .harness.estimates import GUARD_GRID_SIDE  # deferred: the harness imports io
+
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return None
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    largest = GUARD_GRID_SIDE**3 * np.dtype(np.complex128).itemsize
+    mmap = 1 << (largest - 1).bit_length()
+    wanted = {"M_MMAP_THRESHOLD": (-3, mmap), "M_TRIM_THRESHOLD": (-1, 4 * mmap)}
+    applied = {name: value for name, (param, value) in wanted.items()
+               if mallopt(param, value) == 1}
+    return applied or None
+
+
+def git_sha(checkout) -> str | None:
+    """The commit checked out in a git working tree, read from its .git
+    directory without starting git: HEAD, then the branch's ref file or its
+    packed-refs line.  None where these are absent or name no commit."""
+    git = Path(checkout) / ".git"
+    try:
+        head = (git / "HEAD").read_text(encoding="utf-8").strip()
+        if not head.startswith("ref: "):
+            return head  # a detached HEAD names its commit
+        ref = head.removeprefix("ref: ")
+        if (git / ref).is_file():
+            return (git / ref).read_text(encoding="utf-8").strip()
+        for line in (git / "packed-refs").read_text(encoding="utf-8").splitlines():
+            sha, _, name = line.partition(" ")
+            if name == ref:
+                return sha
+    except OSError:
+        pass
+    return None
+
 
 def provenance() -> dict:
-    """Versions of the code that made an artifact."""
-    return {"torus_nls": __version__, "numpy": np.__version__}
+    """Versions of the code that made an artifact, the commit of the checkout
+    it ran from, and the malloc thresholds the CLI applied in this process
+    (None where settle_allocator never ran or applied none)."""
+    settled = settle_allocator() if settle_allocator.cache_info().currsize else None
+    return {"torus_nls": __version__, "numpy": np.__version__,
+            "git_sha": git_sha(_CHECKOUT), "allocator": settled and dict(settled)}
 
 
 def save_field(field: SpectralField, path) -> None:

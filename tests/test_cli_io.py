@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import types
 import warnings
 from pathlib import Path
 
@@ -17,8 +18,8 @@ from torus_nls.cli import cli_main
 from torus_nls.config import (RunConfig, config_dict, load_config,
                               parse_config_text, save_config)
 from torus_nls.errors import ConfigError
-from torus_nls.io import (load_field, save_field, summarize_reports,
-                          write_report, write_summary)
+from torus_nls.io import (git_sha, load_field, provenance, save_field, settle_allocator,
+                          summarize_reports, write_report, write_summary)
 from torus_nls.lattice import SpectralField
 
 from helpers import METRIC, random_field
@@ -129,6 +130,22 @@ def test_field_load_errors(tmp_path):
         load_field(path)
 
 
+def test_git_sha_reads_the_checkout_without_starting_git(tmp_path):
+    sha, other = "a" * 40, "b" * 40
+    git = tmp_path / ".git"
+    assert git_sha(tmp_path) is None  # not a checkout
+    (git / "refs" / "heads").mkdir(parents=True)
+    (git / "HEAD").write_text("ref: refs/heads/main\n", encoding="utf-8")
+    assert git_sha(tmp_path) is None  # a branch with no commit yet
+    (git / "packed-refs").write_text(f"# pack-refs with: peeled\n{other} refs/heads/dev\n"
+                                     f"{sha} refs/heads/main\n^{other}\n", encoding="utf-8")
+    assert git_sha(tmp_path) == sha
+    (git / "refs" / "heads" / "main").write_text(f"{other}\n", encoding="utf-8")
+    assert git_sha(tmp_path) == other  # the loose ref is the newer one
+    (git / "HEAD").write_text(f"{sha}\n", encoding="utf-8")
+    assert git_sha(tmp_path) == sha  # detached
+
+
 # ------------------------------------------------------------------- reports
 
 def _small_report(seed=0, trials=2):
@@ -137,14 +154,25 @@ def _small_report(seed=0, trials=2):
     return run_estimate(get_preset("embedding_checks", seed=seed, trials=trials))
 
 
-def test_write_report_and_summarize(tmp_path):
+@pytest.fixture
+def unsettled():
+    """A process in which no CLI command has settled the allocator yet."""
+    settle_allocator.cache_clear()
+    yield
+    settle_allocator.cache_clear()
+
+
+def test_write_report_and_summarize(tmp_path, unsettled):
     report = _small_report()
     jpath, cpath = write_report(report, tmp_path, "embedding_checks")
     assert jpath.exists() and cpath.exists()
     doc = json.loads(jpath.read_text(encoding="utf-8"))
     assert doc["preset"] == "embedding_checks"
     assert doc["verdict"] in ("pass", "fail", "inconclusive")
-    assert doc["provenance"] == {"torus_nls": torus_nls.__version__, "numpy": np.__version__}
+    # a library-only run claims no allocator settings
+    assert doc["provenance"] == {"torus_nls": torus_nls.__version__, "numpy": np.__version__,
+                                 "git_sha": git_sha(Path(torus_nls.__file__).parents[2]),
+                                 "allocator": None}
     rows = summarize_reports(tmp_path)
     assert len(rows) == len(report.ratios)
     out = tmp_path / "summary.csv"
@@ -182,7 +210,8 @@ def test_cli_solve(tmp_path):
     assert (outdir / "run.config").exists()
     diag = json.loads((outdir / "diagnostics.json").read_text(encoding="utf-8"))
     assert diag["iterations"] >= 1
-    assert set(diag["provenance"]) == {"torus_nls", "numpy", "orjson"}
+    assert set(diag["provenance"]) == {"torus_nls", "numpy", "git_sha", "allocator", "orjson"}
+    assert diag["provenance"]["allocator"] == settle_allocator()
     frames = sorted((outdir / "frames").glob("frame_*.field.json"))
     assert len(frames) == 8
 
@@ -211,6 +240,49 @@ def test_cli_verify_and_report(tmp_path, capsys):
     assert cli_main(["report", "summarize", str(tmp_path / "out"),
                      "--out", str(out)]) == 0
     assert out.exists()
+
+
+class _Mallopt:
+    """glibc's mallopt as a fake: records its calls and returns `result`."""
+
+    def __init__(self, result):
+        self.result, self.calls = result, []
+
+    def __call__(self, param, value):
+        self.calls.append((param, value))
+        return self.result
+
+
+def _fake_libc(monkeypatch, **symbols):
+    import ctypes
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(**symbols))
+
+
+def _two_commands(tmp_path):
+    cfg = _write_cfg(tmp_path)
+    out = tmp_path / "u.field.json"
+    assert cli_main(["--config", str(cfg), "field", "random", "--out", str(out)]) == 0
+    assert cli_main(["norms", "--field", str(out), "--norm", "hs"]) == 0
+
+
+def test_cli_settles_the_allocator_once_per_process(tmp_path, monkeypatch, unsettled):
+    mallopt = _Mallopt(1)
+    _fake_libc(monkeypatch, mallopt=mallopt)
+    assert provenance()["allocator"] is None
+    _two_commands(tmp_path)
+    # the largest guarded grid, 132^3 complex128 = 36.8 MB, rounds up to 64 MiB
+    assert mallopt.calls == [(-3, 1 << 26), (-1, 1 << 28)]
+    assert provenance()["allocator"] == {"M_MMAP_THRESHOLD": 1 << 26,
+                                         "M_TRIM_THRESHOLD": 1 << 28}
+
+
+@pytest.mark.parametrize("symbols", [{}, {"mallopt": _Mallopt(0)}], ids=["missing", "refused"])
+def test_cli_leaves_an_unwilling_allocator_alone(tmp_path, monkeypatch, unsettled, symbols):
+    _fake_libc(monkeypatch, **symbols)
+    _two_commands(tmp_path)
+    assert provenance()["allocator"] is None
+    assert all(len(mallopt.calls) == 2 for mallopt in symbols.values())
 
 
 def test_cli_exit_codes(tmp_path):

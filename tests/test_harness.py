@@ -12,7 +12,7 @@ from torus_nls.harness import (GUARD_BANDLIMIT, GUARD_TIME, EstimateSpec, RunEnv
                                preset_names, preset_registry, random_field,
                                run_estimate, sample_path, support_mask,
                                vanishing_check)
-from torus_nls.lattice import lattice_points
+from torus_nls.lattice import lattice_points, to_grid
 from torus_nls.norms import TimeGrid
 
 from helpers import METRIC
@@ -324,6 +324,9 @@ def test_cubic_main_lhs_is_the_lattice_sum(seed):
         total += a * np.sum(pair * np.where(inside, u3.coeffs[i, j, k], 0.0))
     assert lhs > 0
     assert lhs == pytest.approx(env.T * abs(total), rel=1e-12, abs=0)
+    # the grids multiplied in place give np.prod's bits
+    stacked = np.prod([to_grid(f, env.oversample).samples for f in (v, u1, u2, u3)], axis=0)
+    assert lhs == env.T * abs(np.mean(stacked))
 
 
 def test_gradient_family_rejects_p2():
