@@ -95,6 +95,17 @@ def euclidean_norm_grid(bandlimit: int) -> np.ndarray:
     return np.sqrt(r[:, None, None] + r[None, :, None] + r[None, None, :])
 
 
+def mode_index(xi, bandlimit: int) -> tuple[int, int, int]:
+    """Index xi + M of the frequency xi in the (2M+1)^3 coefficient cube;
+    raises ConfigError when xi is not an integer triple in [-M, M]^3."""
+    xi = tuple(xi)
+    # the range test comes first, so NaN and inf never reach int()
+    if len(xi) != 3 or not all(-bandlimit <= x <= bandlimit and x == int(x) for x in xi):
+        raise ConfigError(f"mode xi = ({', '.join(map(str, xi))}) is not an integer triple"
+                          f" in [-M, M]^3 with M = {bandlimit}")
+    return tuple(int(x) + bandlimit for x in xi)
+
+
 @dataclass(frozen=True)
 class SpectralField:
     """Complex Fourier coefficients on the truncated lattice [-M, M]^3.
@@ -128,16 +139,14 @@ class SpectralField:
     def delta(cls, metric: TorusMetric, bandlimit: int, xi, value=1.0) -> "SpectralField":
         n = 2 * bandlimit + 1
         c = np.zeros((n, n, n), dtype=np.complex128)
-        i, j, k = (int(x) + bandlimit for x in xi)
-        c[i, j, k] = value
+        c[mode_index(xi, bandlimit)] = value
         return cls(metric, bandlimit, c)
 
     def with_coeffs(self, coeffs: np.ndarray) -> "SpectralField":
         return SpectralField(self.metric, self.bandlimit, coeffs)
 
     def coefficient(self, xi) -> complex:
-        i, j, k = (int(x) + self.bandlimit for x in xi)
-        return complex(self.coeffs[i, j, k])
+        return complex(self.coeffs[mode_index(xi, self.bandlimit)])
 
     def l2_norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))

@@ -46,10 +46,12 @@ def phi_weight(profile: str, N: float, radius) -> np.ndarray:
 
 
 def _check_dyadic(N) -> int:
-    N = int(N)
-    if N < 1 or (N & (N - 1)) != 0:
+    """N as an int; an integral float such as 4.0 passes, a non-integral or
+    non-finite N is rejected like a non-dyadic one."""
+    n = int(N) if np.isfinite(N) else 0
+    if n != N or n < 1 or (n & (n - 1)) != 0:
         raise ValueError(f"N must be a dyadic integer >= 1, got {N}")
-    return N
+    return n
 
 
 def psi_weight(profile: str, N, radius) -> np.ndarray:
@@ -71,7 +73,7 @@ def project_dyadic(field: SpectralField, N, profile: str = "sharp") -> SpectralF
 
 def project_leq(field: SpectralField, N, profile: str = "sharp") -> SpectralField:
     """P_{<=N}: multiply coefficients by phi_N(|xi|)."""
-    _check_dyadic(N)
+    N = _check_dyadic(N)
     return field.with_coeffs(field.coeffs * phi_weight(profile, N, _radius_grid(field)))
 
 

@@ -6,16 +6,16 @@ its real temporaries are slab-sized.  apply_F runs it on the grid its own
 to_grid made, bony_tail and the harness on grids they own, and evaluate_F
 on a copy of its argument.
 
-Wirtinger derivatives of F are computed in closed form.  Writing a
-derivative of order (a, b) as a sum of monomials c * |z|^{p+k} z^j zbar^m,
-every monomial shares the same total power p + k + j + m = p + 1 - a - b,
-so the value collapses to
+Wirtinger derivatives of F are computed in closed form.  z and zbar are
+independent in Wirtinger calculus and F = sign * z^{p/2+1} zbar^{p/2}, so
+each derivative is one monomial,
 
-    |z|^{p+1-a-b} * sum_j c_j * (z/|z|)^{e_j}
+    d^a_z d^b_zbar F = sign * c * |z|^{p+1-a-b} * (z/|z|)^{1-a+b},
+    c = (p/2+1)(p/2)...(p/2+2-a) * (p/2)(p/2-1)...(p/2+1-b),
 
-with integer phase powers e_j.  wirtinger_orders evaluates several orders
-from one |z|, zero mask and phase z/|z|; wirtinger is its one-order case.
-Finite differences exist only as test oracles.
+a product of two falling factorials.  wirtinger_orders evaluates several
+orders from one |z|, zero mask and phase z/|z|; wirtinger is its one-order
+case.  Finite differences exist only as test oracles.
 
 The fundamental-theorem-of-calculus linearizations
 
@@ -69,70 +69,25 @@ class PowerNonlinearity:
 
 
 def max_wirtinger_order(p: float) -> int:
-    """Largest admissible a+b for derivatives of |z|^p z."""
-    if 2 < p < 3:
-        return 3
-    return min(4, int(np.floor(p + 1 + 1e-12)))
+    """Largest admissible a+b for derivatives of |z|^p z: p+1 rounded down,
+    at most 4."""
+    return min(4, int(p + 1))
 
 
-def validate_order(p: float, order: tuple[int, int]) -> tuple[int, int]:
-    a, b = order
+def _wirtinger_coefficient(p: float, a: int, b: int) -> float:
+    """c with d^a/dz^a d^b/dzbar^b of z^{p/2+1} zbar^{p/2} equal to
+    c * |z|^{p+1-a-b} * (z/|z|)^{1-a+b}: the falling factorials
+    (p/2+1)(p/2)...(p/2+2-a) times (p/2)(p/2-1)...(p/2+1-b)."""
     if a < 0 or b < 0:
-        raise UndefinedDerivative(f"invalid order {order}")
+        raise UndefinedDerivative(f"invalid order {(a, b)}")
     if a + b > max_wirtinger_order(p):
         raise UndefinedDerivative(
-            f"order {order} undefined for p = {p} (max total {max_wirtinger_order(p)})"
+            f"order {(a, b)} undefined for p = {p} (max total {max_wirtinger_order(p)})"
         )
-    return a, b
-
-
-@lru_cache(maxsize=None)
-def _wirtinger_terms(p: float, a: int, b: int) -> tuple[tuple[float, int], ...]:
-    """Monomial expansion of d^a/dz^a d^b/dzbar^b of |z|^p z.
-
-    Returns ((coeff, phase_power), ...) so that the derivative equals
-    |z|^{p+1-a-b} * sum coeff * (z/|z|)^{phase_power}.  Raises
-    UndefinedDerivative for an order validate_order rejects (errors are not
-    cached, so every call with such an order raises).
-    """
-    validate_order(p, (a, b))
-    # terms: {(k, j, m): coeff} meaning coeff * |z|^{p+k} z^j zbar^m
-    terms = {(0, 1, 0): 1.0}
-
-    def d_z(ts):
-        out: dict = {}
-        for (k, j, m), c in ts.items():
-            alpha = p + k
-            if alpha != 0:
-                key = (k - 2, j, m + 1)
-                out[key] = out.get(key, 0.0) + c * alpha / 2.0
-            if j > 0:
-                key = (k, j - 1, m)
-                out[key] = out.get(key, 0.0) + c * j
-        return out
-
-    def d_zbar(ts):
-        out: dict = {}
-        for (k, j, m), c in ts.items():
-            alpha = p + k
-            if alpha != 0:
-                key = (k - 2, j + 1, m)
-                out[key] = out.get(key, 0.0) + c * alpha / 2.0
-            if m > 0:
-                key = (k, j, m - 1)
-                out[key] = out.get(key, 0.0) + c * m
-        return out
-
-    for _ in range(a):
-        terms = d_z(terms)
-    for _ in range(b):
-        terms = d_zbar(terms)
-
-    collapsed: dict = {}
-    for (k, j, m), c in terms.items():
-        e = j - m
-        collapsed[e] = collapsed.get(e, 0.0) + c
-    return tuple(sorted((c, e) for e, c in collapsed.items() if c != 0.0))
+    c = 1.0
+    for k in chain(range(-1, a - 1), range(b)):  # p/2 - k rounds once
+        c *= p / 2 - k
+    return c
 
 
 def wirtinger_orders(z, nl: PowerNonlinearity, orders) -> list[np.ndarray]:
@@ -142,7 +97,7 @@ def wirtinger_orders(z, nl: PowerNonlinearity, orders) -> list[np.ndarray]:
     |z|, its zero mask and the phase z/|z| are taken once for all orders, and
     |z|^{p+1-a-b} once for each distinct a+b.
     """
-    terms = [_wirtinger_terms(nl.p, *order) for order in orders]
+    coeffs = [_wirtinger_coefficient(nl.p, *order) for order in orders]
     z = np.asarray(z, dtype=np.complex128)
     r = np.abs(z)
     zero = r == 0
@@ -151,20 +106,17 @@ def wirtinger_orders(z, nl: PowerNonlinearity, orders) -> list[np.ndarray]:
     phase = z[nonzero] / rs
     radial = {}
     outs = []
-    for (a, b), order_terms in zip(orders, terms):
+    for (a, b), c in zip(orders, coeffs):
         power = nl.p + 1 - a - b
         if power <= 0 and np.any(zero):
             raise DomainError(
                 f"derivative of order {(a, b)} at z = 0 has non-positive power {power:.3g}"
             )
-        if power not in radial:
-            radial[power] = nl.sign * rs**power
-        acc = np.zeros_like(phase)
-        for c, e in order_terms:
-            acc += c * phase**e
-        acc *= radial[power]
         out = np.zeros_like(z)
-        out[nonzero] = acc
+        if c != 0.0:
+            if power not in radial:
+                radial[power] = nl.sign * rs**power
+            out[nonzero] = c * phase ** (1 - a + b) * radial[power]
         outs.append(out)
     return outs
 

@@ -43,8 +43,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, GridMismatch, InvalidLebesgueExponent
-from .lattice import (SpectralField, TorusMetric, bracket_power, q_classes, q_grid,
-                      to_grid)
+from .lattice import (SpectralField, TorusMetric, bracket_power, mode_index, q_classes,
+                      q_grid, to_grid)
 
 
 @dataclass(frozen=True)
@@ -210,8 +210,7 @@ class SpaceTimePath:
         return SpaceTimePath.from_fields(self.grid, [fn(self.frame(k)) for k in range(self.grid.n)])
 
     def mode_path(self, xi) -> ModePath:
-        idx = tuple(int(x) + self.bandlimit for x in xi)
-        return ModePath(self.coeffs[(slice(None),) + idx])
+        return ModePath(self.coeffs[(slice(None),) + mode_index(xi, self.bandlimit)])
 
     def _check_same_grid(self, other: "SpaceTimePath"):
         if (self.grid != other.grid or self.bandlimit != other.bandlimit

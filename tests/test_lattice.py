@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torus_nls.errors import GridTooSmall, InvalidLebesgueExponent, NegativePowerAtZeroMode
+from torus_nls.errors import (ConfigError, GridTooSmall, InvalidLebesgueExponent,
+                              NegativePowerAtZeroMode)
 from torus_nls.lattice import (DEFAULT_LAPLACE_SCALE, GridField, SpectralField,
                                TorusMetric, bracket_power, bracket_sq,
                                fractional_multiplier, gradient_fields, lattice_points,
                                q_form, q_grid, to_grid, to_spectral)
+from torus_nls.norms import SpaceTimePath, TimeGrid
 
 from helpers import METRIC, random_field
 
@@ -234,3 +236,19 @@ def test_lp_norm_rejects_exponents_below_one(p):
     with pytest.raises(InvalidLebesgueExponent):
         half.lp_norm(p)
     assert half.lp_norm(np.inf) == 1.0
+
+
+@pytest.mark.parametrize("xi", [(-3, 0, 0), (0, -5, 0), (3, 0, 0), (0, 0, 1, 0), (1.5, 0, 0),
+                                (0, np.nan, 0)])
+def test_mode_outside_the_cube_is_rejected(xi):
+    # at M = 2, -3 and -5 would wrap to modes 2 and 0 by negative indexing,
+    # 3 would overflow the axis and 1.5 would truncate to mode 1; each access
+    # names xi and M instead
+    f = random_field(2, seed=6)
+    path = SpaceTimePath.from_fields(TimeGrid(1.0, 3), [f] * 3)
+    accesses = (lambda: f.coefficient(xi),
+                lambda: SpectralField.delta(METRIC, 2, xi),
+                lambda: path.mode_path(xi))
+    for access in accesses:
+        with pytest.raises(ConfigError, match=r"xi = .* M = 2"):
+            access()

@@ -60,6 +60,13 @@ def test_dyadic_validation():
         psi_weight("sharp", 3, np.array([1.0]))
     with pytest.raises(ValueError):
         project_leq(random_field(2), 0)
+    f = random_field(4, seed=2)
+    for bad in (2.5, 1.9, np.inf, np.nan):
+        for project in (project_dyadic, project_leq):
+            with pytest.raises(ValueError, match="dyadic integer"):
+                project(f, bad)
+    # an integral float is the integer it equals
+    assert np.array_equal(project_leq(f, 4.0).coeffs, project_leq(f, 4).coeffs)
 
 
 def test_blended_projection_endpoints():

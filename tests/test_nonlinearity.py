@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -43,6 +44,9 @@ def test_validity_table():
     assert max_wirtinger_order(3.0) == 4
     assert max_wirtinger_order(3.7) == 4
     assert max_wirtinger_order(5.0) == 4
+    for p, below, above in ((3.0, 3, 4), (4.0, 4, 4)):
+        assert max_wirtinger_order(np.nextafter(p, 0)) == below
+        assert max_wirtinger_order(np.nextafter(p, np.inf)) == above
     nl = PowerNonlinearity(2.5)
     with pytest.raises(UndefinedDerivative):
         wirtinger(1.0 + 0j, nl, (2, 2))
@@ -113,6 +117,26 @@ def test_wirtinger_orders_match_one_order_bitwise(p, sign, seed, data):
     z[rng.integers(0, 40, size=6)] = 0
     for order, got in zip(orders, wirtinger_orders(z, nl, orders)):
         assert np.array_equal(got.view(np.uint64), wirtinger(z, nl, order).view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_wirtinger_orders_match_even_p_polynomial(n, sign):
+    # at p = 2n, F = sign * z^{n+1} zbar^n is a polynomial, so
+    # d^a_z d^b_zbar F = sign * perm(n+1, a) perm(n, b) z^{n+1-a} zbar^{n-b};
+    # the orders whose coefficient vanishes give zeros
+    nl = PowerNonlinearity(2.0 * n, sign)
+    top = max_wirtinger_order(nl.p)
+    orders = [(a, b) for a in range(top + 1) for b in range(top + 1 - a)]
+    rng = np.random.default_rng(17)
+    z = rng.standard_normal(200) + 1j * rng.standard_normal(200)
+    for (a, b), got in zip(orders, wirtinger_orders(z, nl, orders)):
+        c = math.perm(n + 1, a) * math.perm(n, b)
+        if c == 0:
+            assert np.all(got == 0)
+        else:
+            want = sign * c * z ** (n + 1 - a) * np.conj(z) ** (n - b)
+            assert np.allclose(got, want, rtol=1e-13, atol=0)
 
 
 def brute_cubic_coeffs(f):
