@@ -9,6 +9,7 @@ and (b) the normalized ratios stay bounded across the dyadic range
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -102,6 +103,7 @@ class ExperimentReport:
     verdict: str           # pass | fail | inconclusive
     flags: tuple
     environment: dict
+    timings: dict          # wall seconds: {"total_s", "per_N_s": {str(N): s}}
 
     def to_json_dict(self) -> dict:
         return {
@@ -113,6 +115,7 @@ class ExperimentReport:
             "verdict": self.verdict,
             "flags": list(self.flags),
             "environment": self.environment,
+            "timings": self.timings,
             "provenance": provenance(),
         }
 
@@ -171,8 +174,10 @@ def run_estimate(spec: EstimateSpec, env: RunEnvironment | None = None, evaluato
     omitted it is resolved from the preset registry by spec.name.  Trial t
     draws from the stream SeedSequence([seed, t]), so results are
     deterministic, independent of execution order, and no two (seed, trial)
-    pairs share a stream.
+    pairs share a stream.  The report records the run's wall time and each
+    N's share of it, summed over the trials.
     """
+    start = time.perf_counter()
     env = env or RunEnvironment()
     if evaluator is None:
         from .presets import get_evaluator
@@ -181,10 +186,13 @@ def run_estimate(spec: EstimateSpec, env: RunEnvironment | None = None, evaluato
 
     records = []
     per_n_max: dict[int, float] = {n: 0.0 for n in spec.dyadic_range}
+    per_n_s: dict[int, float] = {n: 0.0 for n in spec.dyadic_range}
     for trial in range(spec.trials):
         rng = np.random.default_rng(np.random.SeedSequence([spec.seed, trial]))
         for N in spec.dyadic_range:
+            t0 = time.perf_counter()
             lhs, rhs = evaluator(spec, env, N, rng)
+            per_n_s[N] += time.perf_counter() - t0
             ratio = lhs / rhs if rhs > 0 else 0.0
             records.append(
                 {"N": N, "trial": trial, "lhs": float(lhs), "rhs": float(rhs),
@@ -207,4 +215,6 @@ def run_estimate(spec: EstimateSpec, env: RunEnvironment | None = None, evaluato
             "profile": env.profile,
             "seed": spec.seed,
         },
+        timings={"total_s": time.perf_counter() - start,
+                 "per_N_s": {str(n): s for n, s in per_n_s.items()}},
     )

@@ -16,13 +16,27 @@ length n, so each 1-D pass maps the K values of a line to its n samples,
 or back, by the (n, K) matrix W[x, k] = e^{2 pi i x k / n}, k = -b..b.
 The widest pass costs K n^3 multiply-adds against n^3 log n for an FFT,
 but runs at BLAS speed for any n (n = 34 = 2*17 at M = 8, oversample 2).
-Elementwise, to_grid is within 8 (K + log2 n) eps sum|c| of np.fft.ifftn
-of the zero-padded cube times n^3, and to_spectral within 8 (n + log2 n)
-eps mean|samples| of np.fft.fftn / n^3; log2 n is the FFTs' own rounding.
+
+The columns k and -k of W are complex conjugates, so
+e^{i theta k} c_k + e^{-i theta k} c_-k = cos(theta k) (c_k + c_-k)
++ sin(theta k) i (c_k - c_-k).  to_grid folds the first two axes of the
+coefficient cube (K^3 entries) into [c_0, c_k + c_-k, i (c_k - c_-k)],
+and its middle and first passes, which hold nearly all the flops, apply
+the real (n, K) matrix R = [1 | cos | sin] to the float64 view of the
+complex array: half the flops of a complex product.  to_spectral applies
+R^T to the float64 views, giving the cos and sin sums A_k and B_k, and
+unfolds them into c_k = A_k - i B_k and c_-k = A_k + i B_k.  The last
+pass, over the contiguous axis, stays a complex product, by W or its
+conjugate.  The fold and unfold are exact but for one rounding of each
+sum, so the accuracy is that of the complex passes: elementwise, to_grid
+is within 8 (K + log2 n) eps sum|c| of np.fft.ifftn of the zero-padded
+cube times n^3, and to_spectral within 8 (n + log2 n) eps mean|samples|
+of np.fft.fftn / n^3; log2 n is the FFTs' own rounding.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -188,24 +202,30 @@ class GridField:
 
     def l2_norm(self) -> float:
         # L^2(T^3) with unit volume: mean of |u|^2.
-        return float(np.sqrt(np.mean(np.abs(self.samples) ** 2)))
+        return self.lp_norm(2.0)
 
     def lp_norm(self, p: float) -> float:
-        """mean(|u|^p)^(1/p), taken of u / max|u| where |u|^p would leave the float
-        range, so that the norm is finite at every p >= 1 and tends to max|u|."""
+        """mean(|u|^p)^(1/p) by power_mean: finite at every amplitude and p >= 1."""
         if not p >= 1:  # also rejects NaN
             raise InvalidLebesgueExponent(f"Lebesgue exponent must be >= 1, got {p}")
-        a = np.abs(self.samples)
-        top = a.max()
-        if np.isinf(p) or not 0 < top < np.inf:
-            return float(top)
-        with np.errstate(over="ignore"):
-            in_range = _FLOAT.tiny <= top**p <= _FLOAT.max / a.size
-        if not in_range:
-            a /= top
-        a **= p
-        norm = np.mean(a) ** (1.0 / p)
-        return float(norm if in_range else top * norm)
+        return power_mean(np.abs(self.samples), p)
+
+
+def power_mean(a: np.ndarray, p: float, total=np.mean) -> float:
+    """total(a^p)^(1/p) of a nonnegative array a, which it overwrites, at p >= 1;
+    taken of a / max(a) where max(a)^p would leave the float range, so that it
+    is finite and homogeneous at every amplitude and tends to max(a) as p grows.
+    In range, the bits are those of the plain formula."""
+    top = a.max()
+    if np.isinf(p) or not 0 < top < np.inf:
+        return float(top)
+    with np.errstate(over="ignore"):
+        in_range = _FLOAT.tiny <= top**p <= _FLOAT.max / a.size
+    if not in_range:
+        a /= top
+    a **= p
+    norm = total(a) ** (1.0 / p)
+    return float(norm if in_range else top * norm)
 
 
 def bracket_sq(metric: TorusMetric, bandlimit: int) -> np.ndarray:
@@ -285,45 +305,131 @@ def gradient_fields(field_: SpectralField) -> tuple[SpectralField, SpectralField
     return tuple(out)
 
 
-@lru_cache(maxsize=16)
-def _dft_matrix(b: int, n: int) -> np.ndarray:
-    """The read-only (n, 2b+1) matrix e^{2 pi i m / n}, m = (x k) mod n, x < n,
+def _count(name: str, value, least: int) -> int:
+    """value as an int >= least; an integral float such as 2.0 passes, and a
+    non-integral, non-finite or smaller value raises ConfigError naming it."""
+    if not (math.isfinite(value) and value == int(value) and value >= least):
+        raise ConfigError(f"{name} must be an integer >= {least}, got {value}")
+    return int(value)
+
+
+@lru_cache(maxsize=32)
+def _dft_matrix(b: int, n: int, sign: int = 1) -> np.ndarray:
+    """The read-only (n, 2b+1) matrix e^{2 pi i m / n}, m = (sign x k) mod n, x < n,
     |k| <= b, as i^q e^{i phi} with q = round(4m/n), |phi| <= pi/4: within eps
-    of the exact roots, where an angle 2 pi m / n near 2 pi is off by a few eps."""
-    m = np.outer(np.arange(n), axis_range(b)) % n
+    of the exact roots, where an angle 2 pi m / n near 2 pi is off by a few eps.
+    sign -1 gives the conjugate, column k being column -k of sign 1."""
+    m = np.outer(np.arange(n), sign * axis_range(b)) % n
     q = (8 * m + n) // (2 * n)
     w = np.array([1, 1j, -1, -1j])[q % 4] * np.exp(0.5j * np.pi * (4 * m - q * n) / n)
     w.flags.writeable = False
     return w
 
 
+@lru_cache(maxsize=16)
+def _real_dft(b: int, n: int) -> np.ndarray:
+    """The read-only real (n, 2b+1) matrix [1 | cos(2 pi x k / n) | sin(2 pi x k / n)],
+    k = 1..b: the columns k >= 0 of _dft_matrix split into real and imaginary parts."""
+    w = _dft_matrix(b, n)[:, b:]
+    r = np.concatenate((w.real, w[:, 1:].imag), axis=1)
+    r.flags.writeable = False
+    return r
+
+
+@lru_cache(maxsize=16)
+def _fold_rows(b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only row indices into a cube reshaped to (K^2, K), K = 2b+1, that
+    swap its first two axes and reorder both: `into` from natural order
+    (k = -b..b) to folded order (k = 0, 1..b, -1..-b), `back` from folded to
+    natural order."""
+    K = 2 * b + 1
+    k = np.arange(1, b + 1)
+    order = np.concatenate(([0], k, -k)) + b
+    natural = np.argsort(order)
+    rows = tuple((p * K + p[:, None]).ravel() for p in (order, natural))
+    for r in rows:
+        r.flags.writeable = False
+    return rows
+
+
+def _fold_first(t: np.ndarray) -> None:
+    """In place along the first axis, in folded order: (c_0, c_k, c_-k) becomes
+    (c_0, c_k + c_-k, i (c_k - c_-k)), k = 1..b, as e^{i k phi} c_k + e^{-i k phi}
+    c_-k = cos k phi (c_k + c_-k) + sin k phi i (c_k - c_-k)."""
+    b = len(t) // 2
+    pos, neg = t[1:b + 1], t[b + 1:]
+    diff = pos - neg
+    pos += neg
+    np.multiply(diff, 1j, out=neg)
+
+
+def _unfold_first(t: np.ndarray) -> None:
+    """In place along the first axis, the sums (A_0, A_k, B_k) of s_x times 1,
+    cos k phi_x and sin k phi_x become those of s_x e^{-i k phi_x} at k = 0, k
+    and -k: (A_0, A_k - i B_k, A_k + i B_k), k = 1..b."""
+    b = len(t) // 2
+    cos, sin = t[1:b + 1], t[b + 1:]
+    isin = sin * 1j
+    np.add(cos, isin, out=sin)
+    cos -= isin
+
+
+def _fold(c: np.ndarray) -> np.ndarray:
+    """The cube c folded along its first two axes, a new array.  Each axis is
+    folded while it is the first, where its halves are contiguous blocks."""
+    K = len(c)
+    t = np.take(c.reshape(K * K, K), _fold_rows(K // 2)[0], axis=0).reshape(K, K, K)
+    _fold_first(t)  # k2
+    t = t.transpose(1, 0, 2).copy()
+    _fold_first(t)  # k1
+    return t
+
+
+def _unfold(t: np.ndarray) -> np.ndarray:
+    """The inverse reading of _fold: t, folded along its first two axes, is
+    unfolded into a new cube in natural order; overwrites t."""
+    K = len(t)
+    _unfold_first(t)  # k1
+    t = t.transpose(1, 0, 2).copy()
+    _unfold_first(t)  # k2
+    return np.take(t.reshape(K * K, K), _fold_rows(K // 2)[1], axis=0).reshape(K, K, K)
+
+
 def to_grid(field_: SpectralField, oversample: int = 1) -> GridField:
     """Evaluate the field on an oversample*(2M+1) uniform grid per axis,
     samples[x] = sum_xi c_xi e^{2 pi i xi.x / n}: the last, middle and first
-    axis in turn; holds 1 + 1/oversample n^3 grids (samples, middle pass)."""
+    axis in turn, the last two on the folded cube; holds 1 + 1/oversample n^3
+    grids (samples, middle pass)."""
     if oversample < 1:
         raise GridTooSmall(f"oversample must be >= 1, got {oversample}")
+    oversample = _count("oversample", oversample, 1)
     M = field_.bandlimit
     K = 2 * M + 1
     n = oversample * K
-    W = _dft_matrix(M, n)
-    t = field_.coeffs.reshape(K * K, K) @ W.T  # last axis
-    t = W @ t.reshape(K, K, n)  # middle axis
-    samples = (W @ t.reshape(K, n * n)).reshape(n, n, n)  # first axis
-    return GridField(field_.metric, samples)
+    R = _real_dft(M, n)
+    t = _fold(field_.coeffs)
+    t = t.reshape(K * K, K) @ _dft_matrix(M, n).T  # last axis, complex
+    # middle and first axis: R on the float64 view, as numpy would run a real @
+    # complex product as a complex one; each rebinding of t frees the pass before
+    t = (R @ t.view(np.float64).reshape(K, K, 2 * n)).view(np.complex128)
+    samples = (R @ t.view(np.float64).reshape(K, 2 * n * n)).view(np.complex128)
+    return GridField(field_.metric, samples.reshape(n, n, n))
 
 
 def to_spectral(grid: GridField, bandlimit: int) -> SpectralField:
     """Truncate the grid field to bandlimit M (inverse of to_grid on bandlimited
     data), c_xi = n^-3 sum_x samples[x] e^{-2 pi i xi.x / n}: the first, middle
-    and last axis in turn; only reads the samples and holds (2M+1)/n grids."""
+    and last axis in turn, then the unfold of the first two; only reads the
+    samples and holds (2M+1)/n grids."""
+    M = _count("bandlimit", bandlimit, 0)
     n = grid.n
-    if n < 2 * bandlimit + 1:
-        raise GridTooSmall(f"grid n={n} cannot resolve bandlimit {bandlimit}")
-    K = 2 * bandlimit + 1
-    V = _dft_matrix(bandlimit, n).conj()
-    spec = V.T @ grid.samples.reshape(n, n * n)  # first axis
-    spec = V.T @ spec.reshape(K, n, n)  # middle axis
-    spec = (spec.reshape(K * K, n) @ V).reshape(K, K, K)  # last axis
+    if n < 2 * M + 1:
+        raise GridTooSmall(f"grid n={n} cannot resolve bandlimit {M}")
+    K = 2 * M + 1
+    R = _real_dft(M, n)
+    t = (R.T @ grid.samples.view(np.float64).reshape(n, 2 * n * n)).view(np.complex128)
+    t = (R.T @ t.view(np.float64).reshape(K, n, 2 * n)).view(np.complex128)
+    t = t.reshape(K * K, n) @ _dft_matrix(M, n, -1)
+    spec = _unfold(t.reshape(K, K, K))
     spec /= n**3
-    return SpectralField(grid.metric, bandlimit, spec)
+    return SpectralField(grid.metric, M, spec)

@@ -43,8 +43,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, GridMismatch, InvalidLebesgueExponent
-from .lattice import (SpectralField, TorusMetric, bracket_power, mode_index, q_classes,
-                      q_grid, to_grid)
+from .lattice import (SpectralField, TorusMetric, bracket_power, mode_index, power_mean,
+                      q_classes, q_grid, to_grid)
 
 
 @dataclass(frozen=True)
@@ -226,17 +226,16 @@ def sobolev_norm(field_: SpectralField, s: float) -> float:
 
 
 def spacetime_lp(path: SpaceTimePath, p_t: float, p_x: float, oversample: int = 2) -> float:
-    """L^{p_t}_t L^{p_x}_x norm: left-endpoint Riemann sum in t, grid quadrature in x.
-    A static path takes its one field's L^{p_x} norm once."""
+    """L^{p_t}_t L^{p_x}_x norm: left-endpoint Riemann sum in t, grid quadrature in x,
+    each a power_mean, so finite at every amplitude.  A static path takes its one
+    field's L^{p_x} norm once."""
     if not (p_t >= 1 and p_x >= 1):  # also rejects NaN
         raise InvalidLebesgueExponent(f"Lebesgue exponents must be >= 1, got {p_t}, {p_x}")
     if path.static is not None:
         per_t = np.full(path.grid.n, to_grid(path.static, oversample).lp_norm(p_x))
     else:
         per_t = np.array([g.lp_norm(p_x) for g in path.grid_frames(oversample)])
-    if np.isinf(p_t):
-        return float(per_t.max())
-    return float((path.grid.dt * np.sum(per_t**p_t)) ** (1.0 / p_t))
+    return power_mean(per_t, p_t, lambda a: path.grid.dt * np.sum(a))
 
 
 def _v2_batch(values: np.ndarray) -> np.ndarray:

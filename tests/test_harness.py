@@ -197,12 +197,17 @@ def test_run_estimate_degenerate_and_short():
 
 
 def test_run_estimate_determinism():
+    # every field but the wall times, which are checked for their form
     spec = get_preset("embedding_checks", seed=11, trials=3)
     import json
 
-    a = json.dumps(run_estimate(spec).to_json_dict(), sort_keys=True)
-    b = json.dumps(run_estimate(spec).to_json_dict(), sort_keys=True)
+    docs = [run_estimate(spec).to_json_dict() for _ in range(2)]
+    timings = [doc.pop("timings") for doc in docs]
+    a, b = (json.dumps(doc, sort_keys=True) for doc in docs)
     assert a == b
+    for t in timings:
+        assert set(t["per_N_s"]) == {str(N) for N in spec.dyadic_range}
+        assert 0 < sum(t["per_N_s"].values()) <= t["total_s"]
 
 
 def test_run_estimate_seeds_draw_independent_trials():

@@ -85,14 +85,15 @@ def assert_coeffs_close(got, want, g):
 def test_transforms_equal_full_fft(M):
     # every bandlimit the grid resolves, b = 2M (the presets' choice) among
     # them, against the centre of the widest truncation; at M = 16 only the
-    # presets' oversample 4 and bandlimits M and 2M, as each b costs (2b+1) n^3
+    # presets' grids, as each b costs (2b+1) n^3: oversample 4 with bandlimits
+    # M and 2M, and oversample 2, verify's most frequent grid, with M
     f = random_field(M, seed=10 + M)
-    for oversample in (1, 2, 3, 4) if M < 16 else (4,):
+    for oversample in (1, 2, 3, 4) if M < 16 else (2, 4):
         g = to_grid(f, oversample)
         assert_grid_close(g, f, oversample)
         top = (g.n - 1) // 2
         want = full_fft_coeffs(g.samples, top)
-        for b in range(0, top + 1) if M < 16 else (M, 2 * M):
+        for b in range(0, top + 1) if M < 16 else {2: (M,), 4: (M, 2 * M)}[oversample]:
             centre = slice(top - b, top + b + 1)
             assert_coeffs_close(to_spectral(g, b), want[centre, centre, centre], g)
 
@@ -156,6 +157,18 @@ def test_grid_too_small():
         to_spectral(g, 4)
     with pytest.raises(GridTooSmall):
         to_grid(f, 0)
+    # a size that is not a whole number, or a negative bandlimit, is named
+    # (1.5, 2.5 and -1 raised IndexError or numpy's "cannot reshape")
+    for bad in (1.5, np.inf, np.nan):
+        with pytest.raises(ConfigError, match=f"oversample .* got {bad}"):
+            to_grid(f, bad)
+    for bad in (2.5, -1, np.nan):
+        with pytest.raises(ConfigError, match=f"bandlimit .* got {bad}"):
+            to_spectral(g, bad)
+    # an integral float passes, as for mode indices and dyadic N
+    assert np.array_equal(to_grid(f, 2.0).samples, to_grid(f, 2).samples)
+    back = to_spectral(g, 3.0)
+    assert back.bandlimit == 3 and np.array_equal(back.coeffs, to_spectral(g, 3).coeffs)
 
 
 def test_gradient_consistency_with_laplacian():

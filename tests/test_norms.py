@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -319,6 +321,26 @@ def test_spacetime_lp():
     for p_t, p_x in ((0.5, 2.0), (np.nan, 2.0), (2.0, np.nan)):
         with pytest.raises(ValueError):
             spacetime_lp(path, p_t, p_x)
+
+
+@pytest.mark.parametrize("amplitude", [1e-160, 1e-60, 1e60, 1e160])
+def test_lp_norms_are_homogeneous_at_every_amplitude(amplitude):
+    # each frame's L^p norm stayed finite, but the time sum of L^6_t read 0.0
+    # at 1e-60 and inf at 1e60, and the L^2 norm of the samples inf at 1e160
+    f = random_field(2, seed=41)
+    grid = TimeGrid(0.5, 6)
+
+    def paths(g):
+        return free_flow_path(g, grid), SpaceTimePath.from_fields(grid, [g] * grid.n)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for path, scaled in zip(paths(f), paths(amplitude * f)):
+            assert spacetime_lp(scaled, 6.0, 6.0) == pytest.approx(
+                amplitude * spacetime_lp(path, 6.0, 6.0), rel=1e-12, abs=0)
+        g = to_grid(f, 2)
+        assert to_grid(amplitude * f, 2).l2_norm() == pytest.approx(
+            amplitude * g.l2_norm(), rel=1e-12, abs=0)
 
 
 def test_duality_pairing():
